@@ -44,7 +44,10 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
         raise ValueError("tau override must be > 0")
     tau = tau_override_s if tau_override_s is not None else max(a.tau_s for a in scenario.arms)
     l_max = max(arm_length(scenario, 0), arm_length(scenario, 1))
-    return SpeedBound(l_max_m=l_max, tau_s=tau, v_min_over_c=2.0 * l_max / (tau * CONSTANTS.c))
+    v_min_over_c = 2.0 * l_max / (tau * CONSTANTS.c)
+    if not 0.0 < v_min_over_c < math.inf:
+        raise ValueError(f"tau = {tau!r} s puts v_min/c = {v_min_over_c!r} out of float range")
+    return SpeedBound(l_max_m=l_max, tau_s=tau, v_min_over_c=v_min_over_c)
 
 
 def swapping_effective_length(path_a_to_b_via_source_m: float, path_c_to_d_via_source_m: float) -> float:

@@ -37,6 +37,9 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
+# Event timelines are kept in integer femtoseconds.
+FS_PER_SECOND = 1e15
+
 # Default measurement duration: 2.5 ps timing uncertainty plus 2.5 ps
 # single-photon detector response.
 DEFAULT_TAU_S = 5e-12

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .constants import CONSTANTS, DEFAULT_TAU_S
+from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND
 
 Vec = tuple[float, float, float]
 
@@ -54,6 +54,7 @@ class ScenarioError(ValueError):
 
     def __init__(self, message: str, field: str | None = None) -> None:
         super().__init__(message if field is None else f"{field}: {message}")
+        self.reason = message
         self.field = field
 
 
@@ -61,21 +62,26 @@ class UnknownPresetError(LookupError):
     """Requested preset name is not one of :data:`PRESET_NAMES`."""
 
 
+def _as_number(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError("must be a number", field)
+    try:
+        return float(value)
+    except OverflowError:  # JSON integers have no size limit
+        raise ScenarioError("number is out of float range", field) from None
+
+
 def _as_vec(value: Any, field: str) -> Vec:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 3
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError("expected a list of three numbers", field)
-    vec = (float(value[0]), float(value[1]), float(value[2]))
+    vec = (
+        _as_number(value[0], field),
+        _as_number(value[1], field),
+        _as_number(value[2], field),
+    )
     if any(not math.isfinite(x) for x in vec):
         raise ScenarioError("coordinates must be finite", field)
     return vec
-
-
-def _distance(p: Vec, q: Vec) -> float:
-    return math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -105,14 +111,14 @@ class TracePath:
         if len(self.vertices) < 2:
             raise ScenarioError("a trace path needs at least 2 vertices")
         for i in range(len(self.vertices) - 1):
-            if _distance(self.vertices[i], self.vertices[i + 1]) == 0.0:
+            if math.dist(self.vertices[i], self.vertices[i + 1]) == 0.0:
                 raise ScenarioError(f"consecutive vertices {i} and {i + 1} coincide")
 
     @property
     def length_m(self) -> float:
         """Sum of Euclidean segment lengths, m."""
         return sum(
-            _distance(self.vertices[i], self.vertices[i + 1])
+            math.dist(self.vertices[i], self.vertices[i + 1])
             for i in range(len(self.vertices) - 1)
         )
 
@@ -128,9 +134,21 @@ class Arm:
 
     def __post_init__(self) -> None:
         if not self.tau_s > 0.0:
-            raise ScenarioError("measurement duration tau_s must be > 0")
-        if self.offset_s < 0.0:
-            raise ScenarioError("measurement offset_s must be >= 0")
+            raise ScenarioError("measurement duration tau_s must be > 0", "tau_s")
+        if not self.offset_s >= 0.0:
+            raise ScenarioError("measurement offset_s must be >= 0", "offset_s")
+        # The simulator rounds arrival, start and end to integer femtoseconds
+        # and multiplies windows by c; both products must stay finite floats.
+        # This also rejects infinite lengths and times.
+        elapsed_s = 0.0
+        for field, seconds in (
+            ("path", light_time(self.path.length_m)),
+            ("offset_s", self.offset_s),
+            ("tau_s", self.tau_s),
+        ):
+            elapsed_s += seconds
+            if not math.isfinite(elapsed_s * FS_PER_SECOND * CONSTANTS.c):
+                raise ScenarioError("event time is too large to represent in femtoseconds", field)
 
 
 @dataclass(frozen=True)
@@ -151,12 +169,12 @@ class Scenario:
         for i, arm in enumerate(self.arms):
             start = arm.path.vertices[0]
             end = arm.path.vertices[-1]
-            if _distance(start, self.source.position) > ENDPOINT_TOLERANCE_M:
+            if math.dist(start, self.source.position) > ENDPOINT_TOLERANCE_M:
                 raise ScenarioError(
                     "path must start at the source position (within 1 mm)",
                     f"arms[{i}].path",
                 )
-            if _distance(end, arm.detector.position) > ENDPOINT_TOLERANCE_M:
+            if math.dist(end, arm.detector.position) > ENDPOINT_TOLERANCE_M:
                 raise ScenarioError(
                     "path must end at the detector position (within 1 mm)",
                     f"arms[{i}].path",
@@ -176,7 +194,7 @@ def detector_separation(scenario: Scenario) -> float:
     Reported for comparison only; connectivity verdicts always use the
     trace-path lengths.
     """
-    return _distance(scenario.arms[0].detector.position, scenario.arms[1].detector.position)
+    return math.dist(scenario.arms[0].detector.position, scenario.arms[1].detector.position)
 
 
 def light_time(length_m: float) -> float:
@@ -366,17 +384,13 @@ def _arm_from_dict(obj: Any, field: str) -> Arm:
     if not isinstance(path_raw, list) or len(path_raw) < 2:
         raise ScenarioError("path must be a list of at least 2 points", f"{field}.path")
     vertices = tuple(_as_vec(v, f"{field}.path[{i}]") for i, v in enumerate(path_raw))
-    tau_s = _require(obj, "tau_s", field)
-    if isinstance(tau_s, bool) or not isinstance(tau_s, (int, float)):
-        raise ScenarioError("tau_s must be a number", f"{field}.tau_s")
-    if not tau_s > 0.0:
-        raise ScenarioError("tau_s must be > 0", f"{field}.tau_s")
-    offset_s = obj.get("offset_s", 0.0)
-    if isinstance(offset_s, bool) or not isinstance(offset_s, (int, float)):
-        raise ScenarioError("offset_s must be a number", f"{field}.offset_s")
-    if offset_s < 0.0:
-        raise ScenarioError("offset_s must be >= 0", f"{field}.offset_s")
-    return Arm(detector, TracePath(vertices), float(tau_s), float(offset_s))
+    tau_s = _as_number(_require(obj, "tau_s", field), f"{field}.tau_s")
+    offset_s = _as_number(obj.get("offset_s", 0.0), f"{field}.offset_s")
+    try:
+        return Arm(detector, TracePath(vertices), tau_s, offset_s)
+    except ScenarioError as exc:
+        # Path errors carry no field of their own.
+        raise ScenarioError(exc.reason, f"{field}.{exc.field or 'path'}") from exc
 
 
 def scenario_from_dict(document: dict) -> Scenario:

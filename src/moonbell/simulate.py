@@ -8,24 +8,24 @@ If it arrives before the partner measurement ends, the pair is "connected"
 and produces quantum statistics; otherwise a fallback model (uncorrelated
 or local-hidden-variable) supplies the outcomes.
 
-Randomness is counter-based: every draw is a pure function of
-(seed, pair index, slot), so chunking and worker count can never change a
-result bit.
+All pairs of a run share one timeline, so a run is n independent
+draws from one fixed 16-cell table (setting combination times joint
+outcome) and its tallies are a single multinomial draw.  Randomness comes
+from numpy's counter-based Philox generator keyed by the seed (sweep
+sub-seeds via ``SeedSequence``), so results are a pure function of the
+seed; the worker count changes neither the output nor the process count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import ChshSettings, outcome_distribution
-from .constants import CONSTANTS
+from .constants import CONSTANTS, FS_PER_SECOND
 from .scenario import Scenario, arm_length
-
-FS_PER_SECOND = 1e15
 
 FALLBACKS = ("uncorrelated", "lhv")
 
@@ -33,7 +33,8 @@ FALLBACKS = ("uncorrelated", "lhv")
 _PRODUCTS = np.array([1, -1, -1, 1], dtype=np.int64)
 _OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-_BLOCK = 1 << 16
+# Seeds are taken modulo 2^64, so negative and oversized seeds still run.
+_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -213,63 +214,10 @@ def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
     return v
 
 
-# --- counter-based randomness ---------------------------------------------
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
-_SLOT_STRIDE = np.uint64(0xD1342543DE82EF95)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array; wraps modulo 2^64."""
-    z = x + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
-
-
-def _mix_scalar(*parts: int) -> np.uint64:
-    acc = np.array([0], dtype=np.uint64)
-    for p in parts:
-        acc = _mix64(acc * _SLOT_STRIDE + np.uint64(p & 0xFFFFFFFFFFFFFFFF))
-    return acc[0]
-
-
-def _uniforms(seed: int, slot: int, indices: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) as a pure function of (seed, slot, pair index)."""
-    key = _mix_scalar(seed, slot)
-    words = _mix64(indices.astype(np.uint64) * _GOLDEN + key)
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Stable sub-seed for sweep point ``index``."""
-    return int(_mix_scalar(seed, index))
-
-
-def _block_tallies(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(setting counts, outcome-product sums) for pair indices [start, stop)."""
-    seed, start, stop, cum_probs = args
-    idx = np.arange(start, stop, dtype=np.uint64)
-    setting = np.minimum((_uniforms(seed, 0, idx) * 4.0).astype(np.int64), 3)
-    u = _uniforms(seed, 1, idx)
-    thresholds = cum_probs[setting]  # (n, 3) cumulative cut points
-    outcome = (u[:, None] >= thresholds).sum(axis=1)
-    product = _PRODUCTS[outcome]
-    counts = np.bincount(setting, minlength=4)
-    # Products are +-1 ints; float partial sums stay exact integers.
-    prod_sums = np.bincount(setting, weights=product, minlength=4).astype(np.int64)
-    return counts, prod_sums
-
-
-def _pair_draws(seed: int, n: int, cum_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Setting index and outcome index for pairs [0, n) (trace records)."""
-    idx = np.arange(0, n, dtype=np.uint64)
-    setting = np.minimum((_uniforms(seed, 0, idx) * 4.0).astype(np.int64), 3)
-    u = _uniforms(seed, 1, idx)
-    outcome = (u[:, None] >= cum_probs[setting]).sum(axis=1)
-    return setting, outcome
+    state = np.random.SeedSequence([seed & _SEED_MASK, index]).generate_state(1, np.uint64)
+    return int(state[0])
 
 
 def _outcome_tables(
@@ -320,12 +268,17 @@ def simulate(
 
     Each pair is assigned one of the four setting combinations uniformly at
     random and sampled from the quantum joint distribution when the timing
-    connects the measurements, else from the fallback.  Results are a pure
-    function of (scenario, model, settings, n_pairs, seed): worker count and
-    chunking cannot change a single bit.
+    connects the measurements, else from the fallback.  The first
+    ``trace_limit`` pairs are drawn one by one and kept as records; the rest
+    are tallied in one multinomial draw, and both count towards the
+    estimate.  Results are a pure function of (scenario, model, settings,
+    n_pairs, seed, trace_limit) through a Philox stream keyed by ``seed``;
+    ``workers`` is validated for compatibility and starts no process.
     """
     if n_pairs < 4:
         raise ValueError("n_pairs must be at least 4")
+    if n_pairs > 2**63 - 1:  # numpy's multinomial counts in int64
+        raise ValueError("n_pairs must be at most 2**63 - 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
@@ -333,43 +286,28 @@ def simulate(
     lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
     is_connected = connected(timing, lengths, model.v_over_c, model.depart_at_end)
 
-    tables = _outcome_tables(settings, is_connected, model.fallback)
-    cum_probs = np.cumsum(tables, axis=1)[:, :3]
+    # Cell 4*s + o: setting combination s (probability 1/4) and outcome o.
+    p = _outcome_tables(settings, is_connected, model.fallback).ravel() / 4.0
+    rng = np.random.Generator(np.random.Philox(seed & _SEED_MASK))
+    n_rec = max(0, min(trace_limit, n_pairs))
+    traced = rng.choice(16, size=n_rec, p=p)
+    tally = np.bincount(traced, minlength=16) + rng.multinomial(n_pairs - n_rec, p)
+    cells = tally.reshape(4, 4)
 
-    blocks = [
-        (seed, start, min(start + _BLOCK, n_pairs), cum_probs)
-        for start in range(0, n_pairs, _BLOCK)
-    ]
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_tallies, blocks))
-    else:
-        results = [_block_tallies(b) for b in blocks]
-
-    counts = np.zeros(4, dtype=np.int64)
-    prod_sums = np.zeros(4, dtype=np.int64)
-    for c, p in results:
-        counts += c
-        prod_sums += p
-
-    records: tuple[PairRecord, ...] = ()
-    if trace_limit > 0:
-        n_rec = min(trace_limit, n_pairs)
-        setting_idx, outcome_idx = _pair_draws(seed, n_rec, cum_probs)
-        angle_pairs = settings.pairs()
-        records = tuple(
-            PairRecord(
-                emission_fs=0,
-                arms=timing,
-                connected=is_connected,
-                settings=angle_pairs[int(s)],
-                outcomes=_OUTCOMES[int(o)],
-            )
-            for s, o in zip(setting_idx, outcome_idx)
+    angle_pairs = settings.pairs()
+    records = tuple(
+        PairRecord(
+            emission_fs=0,
+            arms=timing,
+            connected=is_connected,
+            settings=angle_pairs[int(c) // 4],
+            outcomes=_OUTCOMES[int(c) % 4],
         )
+        for c in traced
+    )
 
     return SimulationResult(
-        estimate=_estimate_from_tallies(settings, counts, prod_sums),
+        estimate=_estimate_from_tallies(settings, cells.sum(axis=1), cells @ _PRODUCTS),
         connected=is_connected,
         fraction_connected=1.0 if is_connected else 0.0,
         n_pairs=n_pairs,
@@ -388,7 +326,12 @@ def sweep_speed(
     workers: int = 1,
     depart_at_end: bool = False,
 ) -> SweepCurve:
-    """One simulation per grid speed, with independent per-point sub-seeds."""
+    """One simulation per grid speed, with independent per-point sub-seeds.
+
+    Sub-seeds come from ``SeedSequence`` over (seed, point index); like
+    :func:`simulate`, ``workers`` changes neither the output nor the process
+    count.
+    """
     grid = [float(v) for v in v_grid]
     if len(grid) == 0:
         raise ValueError("v_grid must not be empty")

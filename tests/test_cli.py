@@ -231,3 +231,53 @@ def test_discrepancy_ledger_byte_stable():
     assert a == b
     ids = [d["claim_id"] for d in a]
     assert ids == sorted(ids)
+
+
+def test_simulate_results_independent_of_workers():
+    args = ("simulate", "earth_moon_case3", "-n", "200000", "--seed", "-3", "--trace", "4")
+    one = report_of(run_cli(*args, "--workers", "1", check=True))
+    two = report_of(run_cli(*args, "--workers", "2", check=True))
+    assert one["results"] == two["results"]
+    assert run_cli(*args, "--workers", "0").returncode == 2
+
+
+def _extreme_scenario(tmp_path, name, arm, key, value):
+    doc = json.loads(scenario_to_json(preset("gisin1999")))
+    doc["arms"][arm][key] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))  # json writes inf as the literal Infinity
+    return str(path)
+
+
+def _far_scenario(tmp_path):
+    doc = json.loads(scenario_to_json(preset("gisin1999")))
+    for arm, x in zip(doc["arms"], (-1e160, 1e160)):
+        arm["detector"]["position"] = [x, 0.0, 0.0]
+        arm["path"][-1] = [x, 0.0, 0.0]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, needle",
+    [
+        (lambda d: ("validate", _far_scenario(d)), 0, None),
+        (lambda d: ("bound", _far_scenario(d)), 0, None),
+        (lambda d: ("simulate", _far_scenario(d), "-n", "1000"), 0, None),
+        (lambda d: ("validate", _extreme_scenario(d, "t", 0, "tau_s", float("inf"))), 2, "tau_s"),
+        (lambda d: ("bound", _extreme_scenario(d, "t", 0, "tau_s", float("inf"))), 2, "tau_s"),
+        (lambda d: ("simulate", _extreme_scenario(d, "t", 0, "tau_s", float("inf"))), 2, "tau_s"),
+        (lambda d: ("bound", _extreme_scenario(d, "o", 1, "offset_s", 1e300)), 2, "offset_s"),
+        (lambda d: ("simulate", _extreme_scenario(d, "o", 1, "offset_s", 1e300)), 2, "offset_s"),
+        (lambda d: ("bound", "gisin1999", "--tau", "inf"), 2, "tau"),
+        (lambda d: ("bound", "gisin1999", "--tau", "1e300"), 2, "tau"),
+        (lambda d: ("simulate", "gisin1999", "-n", str(2**63)), 2, "n_pairs"),
+    ],
+)
+def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):
+    proc = run_cli(*make_argv(tmp_path))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if needle is not None:
+        assert needle in proc.stderr

@@ -261,3 +261,49 @@ def test_published_schema_matches_loader():
             jsonschema.validate(bad, schema)
         with pytest.raises(ScenarioError):
             load_scenario(bad)
+
+
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _long_arm(coordinate):
+    def mutate(doc):
+        doc["arms"][0]["detector"]["position"] = [coordinate, 0.0, 0.0]
+        doc["arms"][0]["path"] = [[0.0, 0.0, 0.0], [coordinate, 0.0, 0.0]]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set(("arms", 0, "tau_s"), math.inf), "arms[0].tau_s"),
+        (_set(("arms", 1, "tau_s"), 1e300), "arms[1].tau_s"),
+        (_set(("arms", 1, "offset_s"), math.inf), "arms[1].offset_s"),
+        (_set(("arms", 1, "offset_s"), math.nan), "arms[1].offset_s"),
+        (_set(("arms", 1, "offset_s"), 1e300), "arms[1].offset_s"),
+        (_set(("arms", 1, "offset_s"), 10**400), "arms[1].offset_s"),
+        (_set(("source", "position"), [10**400, 0, 0]), "source.position"),
+        (_long_arm(1e305), "arms[0].path"),
+    ],
+)
+def test_out_of_range_numbers_rejected_with_field(mutate, field):
+    doc = _valid_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.field == field
+
+
+def test_astronomically_long_path_loads():
+    # Squaring each coordinate difference would overflow at this scale.
+    doc = _valid_doc()
+    _long_arm(1e160)(doc)
+    assert arm_length(load_scenario(doc), 0) == 1e160

@@ -315,3 +315,53 @@ def test_collapse_model_validation():
         CollapseModel(v_over_c=0.0)
     with pytest.raises(ValueError):
         CollapseModel(v_over_c=1.0, fallback="telepathy")
+
+
+def test_trace_records_are_the_tallied_pairs():
+    # With every pair traced, the records alone must reproduce the estimate.
+    n = 4000
+    result = simulate(
+        preset("gisin1999"),
+        CollapseModel(v_over_c=math.inf),
+        DEFAULT_SETTINGS,
+        n_pairs=n,
+        seed=31,
+        trace_limit=n,
+    )
+    angle_pairs = DEFAULT_SETTINGS.pairs()
+    counts = [0, 0, 0, 0]
+    prod_sums = [0, 0, 0, 0]
+    for rec in result.records:
+        k = angle_pairs.index(rec.settings)
+        counts[k] += 1
+        prod_sums[k] += rec.outcomes[0] * rec.outcomes[1]
+    est = result.estimate
+    assert list(est.counts) == counts
+    assert list(est.e_hat) == [s / c for s, c in zip(prod_sums, counts)]
+
+
+def test_simulate_handles_1e15_pairs():
+    n = 10**15
+    result = simulate(
+        preset("earth_moon_case3"), CollapseModel(v_over_c=math.inf), DEFAULT_SETTINGS, n, seed=8
+    )
+    assert sum(result.estimate.counts) == n
+    assert abs(result.estimate.s_hat - 2 * math.sqrt(2)) <= 5 * result.estimate.stderr_s
+
+
+def test_negative_seed_is_deterministic():
+    scen = preset("gisin1999")
+    model = CollapseModel(v_over_c=math.inf)
+    a = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=10_000, seed=-12, trace_limit=3)
+    b = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=10_000, seed=-12, trace_limit=3)
+    assert a == b
+    assert sum(a.estimate.counts) == 10_000
+
+
+def test_pair_count_limited_to_int64():
+    scen = preset("gisin1999")
+    model = CollapseModel(v_over_c=math.inf)
+    result = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=2**63 - 1, seed=0)
+    assert sum(result.estimate.counts) == 2**63 - 1
+    with pytest.raises(ValueError, match="n_pairs"):
+        simulate(scen, model, DEFAULT_SETTINGS, n_pairs=2**63, seed=0)

@@ -135,7 +135,13 @@ def kappa(mass_kg: float = CONSTANTS.m_proton) -> float:
     """
     if not mass_kg > 0.0:
         raise ValueError("mass must be > 0")
-    return CONSTANTS.G * mass_kg**2 / (CONSTANTS.hbar * CONSTANTS.c)
+    try:
+        k = CONSTANTS.G * mass_kg**2 / (CONSTANTS.hbar * CONSTANTS.c)
+    except OverflowError:
+        k = math.inf
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"mass {mass_kg!r} kg puts kappa outside the float range")
+    return k
 
 
 @dataclass(frozen=True)
@@ -202,11 +208,17 @@ def apriori_scales(
             )
         )
     for n in n_values:
-        d_m = k**n * CONSTANTS.planck_length
+        try:
+            v_over_c = k**n
+        except OverflowError:
+            v_over_c = math.inf
+        if not 0.0 < v_over_c < math.inf:
+            raise ValueError(f"kappa**{n} is outside the float range")
+        d_m = v_over_c * CONSTANTS.planck_length
         candidates.append(
             AprioriCandidate(
                 n=n,
-                v_over_c=k**n,
+                v_over_c=v_over_c,
                 d_m=d_m,
                 classification=classify_scale(d_m, window),
             )

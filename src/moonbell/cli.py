@@ -342,6 +342,15 @@ def cmd_linkbudget(args: argparse.Namespace) -> int:
         reference_loss_db=args.ref_loss_db,
         detector_efficiency=args.eff_b,
     )
+    for name, arm in (("A", arm_a), ("B", arm_b)):
+        # The L^-2 law would turn the reference loss into a gain.
+        if arm.total_loss_db < 0.0:
+            raise ValueError(
+                f"arm {name} ({arm.length_m!r} m) is shorter than --ref-length "
+                f"({arm.reference_length_m!r} m) by more than --ref-loss-db "
+                f"({arm.reference_loss_db!r} dB) covers; its loss would be "
+                f"{arm.total_loss_db:.3f} dB"
+            )
     results = budget_report(
         arm_a, arm_b, pair_rate_hz=args.pair_rate, s_expected=args.s_expected, k_sigma=args.k_sigma
     )

@@ -92,9 +92,12 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> SignificancePla
     """
     if not s_expected > 2.0:
         raise ValueError("s_expected must exceed the classical bound 2")
-    if k_sigma < 0.0:
+    if not k_sigma >= 0.0:
         raise ValueError("k_sigma must be >= 0")
-    n = max(1, math.ceil(_DEFAULT_VARIANCE_SUM * (k_sigma / (s_expected - 2.0)) ** 2))
+    try:
+        n = max(1, math.ceil(_DEFAULT_VARIANCE_SUM * (k_sigma / (s_expected - 2.0)) ** 2))
+    except OverflowError:
+        raise ValueError("k_sigma / (s_expected - 2) is too large for a finite pair count") from None
     return SignificancePlan(
         s_expected=s_expected,
         classical_bound=2.0,

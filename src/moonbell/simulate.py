@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bell import ChshSettings, outcome_distribution
 from .constants import CONSTANTS, FS_PER_SECOND
 from .scenario import Scenario, arm_length
 
+if TYPE_CHECKING:
+    import numpy as np
+
 FALLBACKS = ("uncorrelated", "lhv")
 
 # Outcome products for the joint-outcome order (++, +-, -+, --).
-_PRODUCTS = np.array([1, -1, -1, 1], dtype=np.int64)
+_PRODUCTS = (1, -1, -1, 1)
 _OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
@@ -216,14 +218,16 @@ def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable sub-seed for sweep point ``index``."""
+    import numpy as np
+
     state = np.random.SeedSequence([seed & _SEED_MASK, index]).generate_state(1, np.uint64)
     return int(state[0])
 
 
 def _outcome_tables(
     settings: ChshSettings, is_connected: bool, fallback: str
-) -> np.ndarray:
-    """Joint outcome probabilities per setting combination, shape (4, 4)."""
+) -> list[tuple[float, float, float, float]]:
+    """Joint outcome probabilities, one row per setting combination (4 x 4)."""
     rows = []
     for a, b in settings.pairs():
         if is_connected:
@@ -234,12 +238,14 @@ def _outcome_tables(
             rows.append(dist.probabilities())
         else:
             rows.append((0.25, 0.25, 0.25, 0.25))
-    return np.array(rows, dtype=np.float64)
+    return rows
 
 
 def _estimate_from_tallies(
     settings: ChshSettings, counts: np.ndarray, prod_sums: np.ndarray
 ) -> CorrelationEstimate:
+    import numpy as np
+
     e_hat = np.full(4, np.nan)
     nonzero = counts > 0
     e_hat[nonzero] = prod_sums[nonzero] / counts[nonzero]
@@ -274,6 +280,11 @@ def simulate(
     estimate.  Results are a pure function of (scenario, model, settings,
     n_pairs, seed, trace_limit) through a Philox stream keyed by ``seed``;
     ``workers`` is validated for compatibility and starts no process.
+
+    A setting combination that draws no pair (likely only for small
+    ``n_pairs``) has no correlation estimate: its ``e_hat`` entry is nan,
+    so ``s_hat`` and ``stderr_s`` are nan too.  This is a result, not an
+    error; the CLI prints the values as ``"nan"`` and exits 0.
     """
     if n_pairs < 4:
         raise ValueError("n_pairs must be at least 4")
@@ -286,8 +297,13 @@ def simulate(
     lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
     is_connected = connected(timing, lengths, model.v_over_c, model.depart_at_end)
 
+    # numpy is imported here, not at module scope, so the commands that never
+    # sample (bound, presets, linkbudget, scales, validate) do not load it.
+    import numpy as np
+
     # Cell 4*s + o: setting combination s (probability 1/4) and outcome o.
-    p = _outcome_tables(settings, is_connected, model.fallback).ravel() / 4.0
+    tables = np.array(_outcome_tables(settings, is_connected, model.fallback), dtype=np.float64)
+    p = tables.ravel() / 4.0
     rng = np.random.Generator(np.random.Philox(seed & _SEED_MASK))
     n_rec = max(0, min(trace_limit, n_pairs))
     traced = rng.choice(16, size=n_rec, p=p)

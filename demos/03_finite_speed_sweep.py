@@ -34,7 +34,7 @@ curve = sweep_speed(
 
 print(f"\n{'v/c':>12s} {'S_hat':>8s} {'stderr':>8s}  connected")
 for p in curve.points:
-    marker = "yes" if p.fraction_connected == 1.0 else "no"
+    marker = "yes" if p.connected else "no"
     print(f"{p.v_over_c:12.4g} {p.s_hat:8.4f} {p.stderr_s:8.4f}  {marker}")
 
 below, above = curve.transition_bracket()

@@ -39,6 +39,10 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     ``tau_override_s`` replaces the scenario's measurement duration; by
     default the larger of the two arm durations is used (the conservative
     choice: a slower measurement weakens the bound).
+
+    The rule charges the influence 2 * L_max within tau, with simultaneous
+    starts; the simulator's :func:`moonbell.simulate.critical_speed` charges
+    L_0 + L_1 within its femtosecond window instead.
     """
     if tau_override_s is not None and not tau_override_s > 0.0:
         raise ValueError("tau override must be > 0")

@@ -196,15 +196,29 @@ def _estimate_payload(result) -> dict:
         "e_hat": list(est.e_hat),
         "counts": list(est.counts),
         "connected": result.connected,
-        "fraction_connected": result.fraction_connected,
+        "fraction_connected": float(result.connected),
     }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict]:
+    """Scenario and settings of a simulate/sweep run, plus the inputs both echo."""
     scenario = resolve_scenario(args.scenario)
     if args.equalize_starts:
         scenario = with_equalized_starts(scenario)
     settings = parse_settings(args.settings)
+    inputs = {
+        "scenario": _scenario_summary(scenario),
+        "fallback": args.fallback,
+        "depart_at_end": args.depart_at_end,
+        "equalize_starts": args.equalize_starts,
+        "settings": [settings.a, settings.a_prime, settings.b, settings.b_prime],
+        "workers": args.workers,
+    }
+    return scenario, settings, inputs
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scenario, settings, inputs = _resolve_run(args)
     model = CollapseModel(
         v_over_c=parse_speed(args.v_over_c),
         fallback=args.fallback,
@@ -222,39 +236,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payload = _estimate_payload(result)
     payload["critical_v_over_c"] = critical_speed(scenario, args.depart_at_end)
     if result.records:
+        arms = [
+            {
+                "arrival_fs": t.arrival_fs,
+                "measure_start_fs": t.measure_start_fs,
+                "measure_end_fs": t.measure_end_fs,
+            }
+            for t in result.timing
+        ]
         payload["trace"] = [
             {
-                "emission_fs": r.emission_fs,
-                "arms": [
-                    {
-                        "arrival_fs": t.arrival_fs,
-                        "measure_start_fs": t.measure_start_fs,
-                        "measure_end_fs": t.measure_end_fs,
-                    }
-                    for t in r.arms
-                ],
-                "connected": r.connected,
+                "emission_fs": 0,
+                "arms": arms,
+                "connected": result.connected,
                 "settings": list(r.settings),
                 "outcomes": list(r.outcomes),
             }
             for r in result.records
         ]
-    report = make_report(
-        "simulate",
-        inputs={
-            "scenario": _scenario_summary(scenario),
-            "v_over_c": model.v_over_c,
-            "fallback": model.fallback,
-            "depart_at_end": model.depart_at_end,
-            "equalize_starts": args.equalize_starts,
-            "settings": [settings.a, settings.a_prime, settings.b, settings.b_prime],
-            "n_pairs": args.pairs,
-            "workers": args.workers,
-            "trace": args.trace,
-        },
-        results=payload,
-        seed=args.seed,
-    )
+    inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
+    report = make_report("simulate", inputs=inputs, results=payload, seed=args.seed)
     sys.stdout.write(render_report(report, args.format))
     return EXIT_OK
 
@@ -266,6 +267,9 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
         raise ValueError("--v-min must be > 0")
     if points == 1:
         return [v_min]
+    for flag, v in (("--v-min", v_min), ("--v-max", v_max)):
+        if not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite")
     if not v_max > v_min:
         raise ValueError("--v-max must exceed --v-min")
     if spacing == "log":
@@ -275,10 +279,7 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(args.scenario)
-    if args.equalize_starts:
-        scenario = with_equalized_starts(scenario)
-    settings = parse_settings(args.settings)
+    scenario, settings, inputs = _resolve_run(args)
     grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
     curve = sweep_speed(
         scenario,
@@ -298,22 +299,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_IO
     below, above = curve.transition_bracket()
     v_star = critical_speed(scenario, args.depart_at_end)
+    inputs.update(
+        v_min=args.v_min,
+        v_max=args.v_max,
+        points=args.points,
+        spacing=args.spacing,
+        n_pairs_per_point=args.pairs,
+        out=args.out,
+    )
     report = make_report(
         "sweep",
-        inputs={
-            "scenario": _scenario_summary(scenario),
-            "v_min": args.v_min,
-            "v_max": args.v_max,
-            "points": args.points,
-            "spacing": args.spacing,
-            "fallback": args.fallback,
-            "depart_at_end": args.depart_at_end,
-            "equalize_starts": args.equalize_starts,
-            "settings": [settings.a, settings.a_prime, settings.b, settings.b_prime],
-            "n_pairs_per_point": args.pairs,
-            "workers": args.workers,
-            "out": args.out,
-        },
+        inputs=inputs,
         results={
             "csv_path": args.out,
             "rows": len(curve.points),

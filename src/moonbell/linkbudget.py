@@ -65,7 +65,10 @@ def geometric_loss_db(reference_length_m: float, length_m: float) -> float:
     """Extra loss from stretching a link, dB; the L^-2 law gives 20 dB/decade."""
     if not (reference_length_m > 0.0 and length_m > 0.0):
         raise ValueError("lengths must be > 0")
-    return 20.0 * math.log10(length_m / reference_length_m)
+    ratio = length_m / reference_length_m
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"length ratio {length_m!r} m / {reference_length_m!r} m is out of range")
+    return 20.0 * math.log10(ratio)
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,13 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> SignificancePla
 
     Uses the standard-error model sqrt(sum (1 - E_i^2)/n) with the four
     default-setting correlations |E_i| = sqrt(2)/2 and equal counts per
-    setting.  The returned n satisfies
+    setting; ``s_expected`` must lie in (2, 2*sqrt(2)].  The returned n satisfies
     (s_expected - 2) / sqrt(2/n) >= k_sigma.
     """
     if not s_expected > 2.0:
         raise ValueError("s_expected must exceed the classical bound 2")
+    if s_expected > TSIRELSON_BOUND:
+        raise ValueError(f"s_expected = {s_expected!r} exceeds the Tsirelson bound 2*sqrt(2)")
     if not k_sigma >= 0.0:
         raise ValueError("k_sigma must be >= 0")
     try:

@@ -1,19 +1,19 @@
 """Event-timed Monte Carlo of entangled pairs under finite-speed collapse.
 
-Every pair gets an exact integer-femtosecond timeline in the privileged
-frame: photon arrivals, measurement start and end per arm.  A collapse
-influence departs from the first-measured arm and travels the combined
-trace-path length of both arms (back through the source) at v = v_over_c*c.
-If it arrives before the partner measurement ends, the pair is "connected"
-and produces quantum statistics; otherwise a fallback model (uncorrelated
-or local-hidden-variable) supplies the outcomes.
+A run has one exact integer-femtosecond timeline in the privileged frame,
+shared by all its pairs: photon arrivals, measurement start and end per arm.
+A collapse influence departs from the first-measured arm and travels the
+combined trace-path length of both arms (back through the source) at
+v = v_over_c*c.  The run is "connected", and produces quantum statistics,
+exactly when v_over_c >= :func:`critical_speed`; otherwise a fallback model
+(uncorrelated or local-hidden-variable) supplies the outcomes.
 
-All pairs of a run share one timeline, so a run is n independent
-draws from one fixed 16-cell table (setting combination times joint
-outcome) and its tallies are a single multinomial draw.  Randomness comes
-from numpy's counter-based Philox generator keyed by the seed (sweep
-sub-seeds via ``SeedSequence``), so results are a pure function of the
-seed; the worker count changes neither the output nor the process count.
+A run is thus n independent draws from one fixed 16-cell table (setting
+combination times joint outcome), and its tallies are a single multinomial
+draw.  Randomness comes from numpy's counter-based Philox generator keyed
+by the seed (sweep sub-seeds via ``SeedSequence``), so results are a pure
+function of the seed; the worker count changes neither the output nor the
+process count.
 """
 
 from __future__ import annotations
@@ -70,11 +70,8 @@ class ArmTiming:
 
 @dataclass(frozen=True)
 class PairRecord:
-    """One simulated pair, for trace dumps and timing checks."""
+    """One traced pair; its timeline is the run's :attr:`SimulationResult.timing`."""
 
-    emission_fs: int
-    arms: tuple[ArmTiming, ArmTiming]
-    connected: bool
     settings: tuple[float, float]
     outcomes: tuple[int, int]
 
@@ -96,9 +93,11 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One run: every pair shares ``timing`` (emitted at 0 fs) and ``connected``."""
+
     estimate: CorrelationEstimate
     connected: bool
-    fraction_connected: float
+    timing: tuple[ArmTiming, ArmTiming]
     n_pairs: int
     seed: int
     records: tuple[PairRecord, ...] = ()
@@ -110,7 +109,7 @@ class SweepPoint:
     s_hat: float
     stderr_s: float
     n_pairs: int
-    fraction_connected: float
+    connected: bool
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class SweepCurve:
         lines = ["v_over_c,S_hat,stderr_S,n_pairs,fraction_connected"]
         for p in self.points:
             lines.append(
-                f"{p.v_over_c!r},{p.s_hat!r},{p.stderr_s!r},{p.n_pairs},{p.fraction_connected!r}"
+                f"{p.v_over_c!r},{p.s_hat!r},{p.stderr_s!r},{p.n_pairs},{float(p.connected)!r}"
             )
         return "\n".join(lines) + "\n"
 
@@ -131,7 +130,7 @@ class SweepCurve:
         below = None
         above = None
         for p in self.points:
-            if p.fraction_connected < 0.5:
+            if not p.connected:
                 below = p.v_over_c
             elif above is None:
                 above = p.v_over_c
@@ -143,21 +142,22 @@ def _to_fs(seconds: float) -> int:
     return int(round(seconds * FS_PER_SECOND))
 
 
-def scenario_timing(scenario: Scenario, emission_fs: int = 0) -> tuple[ArmTiming, ArmTiming]:
-    """Arrival and measurement window per arm for one emission, fs."""
+def scenario_timing(scenario: Scenario) -> tuple[ArmTiming, ArmTiming]:
+    """Arrival and measurement window per arm for an emission at 0 fs."""
     timings = []
     for i in (0, 1):
         arm = scenario.arms[i]
-        arrival = emission_fs + _to_fs(arm.path.length_m / CONSTANTS.c)
+        arrival = _to_fs(arm.path.length_m / CONSTANTS.c)
         start = arrival + _to_fs(arm.offset_s)
         end = start + _to_fs(arm.tau_s)
         timings.append(ArmTiming(arrival, start, end))
     return (timings[0], timings[1])
 
 
-def _departure_and_window(
-    timing: tuple[ArmTiming, ArmTiming], depart_at_end: bool
-) -> tuple[int, int]:
+def _threshold(
+    timing: tuple[ArmTiming, ArmTiming], lengths_m: tuple[float, float], depart_at_end: bool
+) -> float:
+    """Smallest v_over_c whose influence covers L_0 + L_1 within the window; inf if empty."""
     # Arm with the earlier measurement start emits the influence; ties go to
     # arm 0 (symmetric timings make the choice irrelevant).
     first, second = (
@@ -166,13 +166,16 @@ def _departure_and_window(
         else (timing[1], timing[0])
     )
     departure = first.measure_end_fs if depart_at_end else first.measure_start_fs
-    return departure, second.measure_end_fs - departure
-
-
-def _connects(total_m: float, v_over_c: float, window_fs: int) -> bool:
-    # travel_time <= window, cross-multiplied; the single shared expression
-    # keeps connected() and critical_speed() bit-consistent at the boundary.
-    return total_m * FS_PER_SECOND <= v_over_c * (CONSTANTS.c * window_fs)
+    window_fs = second.measure_end_fs - departure
+    if window_fs <= 0:
+        return math.inf
+    total_m = lengths_m[0] + lengths_m[1]
+    v = total_m * FS_PER_SECOND / (CONSTANTS.c * window_fs)
+    # Round up to the first float whose travel time, cross-multiplied, fits
+    # the window, so the quotient's rounding never admits a late influence.
+    while not total_m * FS_PER_SECOND <= v * (CONSTANTS.c * window_fs):
+        v = math.nextafter(v, math.inf)
+    return v
 
 
 def connected(
@@ -185,35 +188,27 @@ def connected(
 
     The influence covers the full trace of both arms (L_first + L_second,
     back through the source); the straight detector-to-detector distance is
-    never used.
+    never used.  Exactly ``v_over_c >= critical_speed`` on the same timeline.
     """
     if not (lengths_m[0] > 0.0 and lengths_m[1] > 0.0):
         raise ValueError("arm lengths must be > 0")
     if not v_over_c > 0.0:
         raise ValueError("v_over_c must be > 0")
-    if math.isinf(v_over_c):
-        return True
-    _, window_fs = _departure_and_window(timing, depart_at_end)
-    return _connects(lengths_m[0] + lengths_m[1], v_over_c, window_fs)
+    return v_over_c >= _threshold(timing, lengths_m, depart_at_end)
 
 
 def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
     """Smallest v_over_c (inclusive) at which ``scenario`` is connected.
 
-    Exact boundary of :func:`connected` on the scenario's own timeline:
-    v* = (L_0 + L_1) / (c * (start lag + later measurement duration)).
+    v* = (L_0 + L_1) / (c * window), rounded up to the first float whose
+    travel time fits the window (start lag + later measurement duration, in
+    fs); inf for an empty window.  This event model charges the influence
+    L_0 + L_1 within that window, whereas :func:`moonbell.bounds.speed_bound`
+    charges 2 * L_max within tau with simultaneous starts.
     """
     timing = scenario_timing(scenario)
     lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
-    _, window_fs = _departure_and_window(timing, depart_at_end)
-    if window_fs <= 0:
-        return math.inf
-    total_m = lengths[0] + lengths[1]
-    v = total_m * FS_PER_SECOND / (CONSTANTS.c * window_fs)
-    # Round up to the first float that the connectivity test accepts.
-    while not _connects(total_m, v, window_fs):
-        v = math.nextafter(v, math.inf)
-    return v
+    return _threshold(timing, lengths, depart_at_end)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -293,9 +288,7 @@ def simulate(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    timing = scenario_timing(scenario)
-    lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
-    is_connected = connected(timing, lengths, model.v_over_c, model.depart_at_end)
+    is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
 
     # numpy is imported here, not at module scope, so the commands that never
     # sample (bound, presets, linkbudget, scales, validate) do not load it.
@@ -312,20 +305,14 @@ def simulate(
 
     angle_pairs = settings.pairs()
     records = tuple(
-        PairRecord(
-            emission_fs=0,
-            arms=timing,
-            connected=is_connected,
-            settings=angle_pairs[int(c) // 4],
-            outcomes=_OUTCOMES[int(c) % 4],
-        )
+        PairRecord(settings=angle_pairs[int(c) // 4], outcomes=_OUTCOMES[int(c) % 4])
         for c in traced
     )
 
     return SimulationResult(
         estimate=_estimate_from_tallies(settings, cells.sum(axis=1), cells @ _PRODUCTS),
         connected=is_connected,
-        fraction_connected=1.0 if is_connected else 0.0,
+        timing=scenario_timing(scenario),
         n_pairs=n_pairs,
         seed=seed,
         records=records,
@@ -365,7 +352,7 @@ def sweep_speed(
                 s_hat=result.estimate.s_hat,
                 stderr_s=result.estimate.stderr_s,
                 n_pairs=n_pairs_per_point,
-                fraction_connected=result.fraction_connected,
+                connected=result.connected,
             )
         )
     return SweepCurve(points=tuple(points))

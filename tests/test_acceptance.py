@@ -132,10 +132,10 @@ def test_criterion_05_threshold_behavior():
     )
     for p in curve.points:
         if p.v_over_c >= v_star:
-            assert p.fraction_connected == 1.0
+            assert p.connected
             assert abs(p.s_hat - S_QUANTUM) <= 5 * p.stderr_s
         else:
-            assert p.fraction_connected == 0.0
+            assert not p.connected
             assert p.s_hat <= 2.0 + 5 * p.stderr_s
     below, above = curve.transition_bracket()
     assert below < v_star <= above

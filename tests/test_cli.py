@@ -134,6 +134,19 @@ def test_sweep_single_point(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_sweep_brackets_critical_speed_between_adjacent_floats(tmp_path):
+    # 7071558.818200824 is gisin1999's printed critical speed; the float
+    # just below it must not connect.
+    out = tmp_path / "edge.csv"
+    proc = run_cli(
+        "sweep", "gisin1999", "--v-min", "7071558.818200823", "--v-max", "7071558.818200824",
+        "--points", "2", "--spacing", "linear", "-n", "1000", "--out", str(out), check=True,
+    )
+    assert report_of(proc)["results"]["bracket_contains_critical"] is True
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0.0", "1.0"]
+
+
 def test_sweep_deterministic_across_workers(tmp_path):
     args = [
         "sweep", "earth_moon_case3", "--v-min", "1e9", "--v-max", "1e12",
@@ -260,6 +273,9 @@ def _far_scenario(tmp_path):
     return str(path)
 
 
+_UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "--pair-rate", "1")
+
+
 @pytest.mark.parametrize(
     "make_argv, code, needle",
     [
@@ -274,6 +290,16 @@ def _far_scenario(tmp_path):
         (lambda d: ("bound", "gisin1999", "--tau", "inf"), 2, "tau"),
         (lambda d: ("bound", "gisin1999", "--tau", "1e300"), 2, "tau"),
         (lambda d: ("simulate", "gisin1999", "-n", str(2**63)), 2, "n_pairs"),
+        (lambda d: ("sweep", "gisin1999", "--v-min", "1", "--v-max", "inf", "--points", "3",
+                    "--out", str(d / "inf.csv")), 2, "--v-max"),
+        (lambda d: ("linkbudget", *_UNIT_LINK, "--s-expected", "3"), 2, "2*sqrt(2)"),
+        (lambda d: ("linkbudget", *_UNIT_LINK, "--s-expected", "inf"), 2, "2*sqrt(2)"),
+        (lambda d: ("linkbudget", "--length-a", "1e-300m", "--length-b", "1km",
+                    "--ref-length", "1e300m", "--ref-loss-db", "1e300", "--pair-rate", "1"),
+         2, "1e-300 m / 1e+300 m"),
+        (lambda d: ("linkbudget", "--length-a", "1e300m", "--length-b", "1km",
+                    "--ref-length", "1e-300m", "--pair-rate", "1"),
+         2, "1e+300 m / 1e-300 m"),
     ],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):

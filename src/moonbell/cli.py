@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Any
 
 from . import __version__
@@ -188,18 +189,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _estimate_payload(result) -> dict:
-    est = result.estimate
-    return {
-        "s_hat": est.s_hat,
-        "stderr_s": est.stderr_s,
-        "e_hat": list(est.e_hat),
-        "counts": list(est.counts),
-        "connected": result.connected,
-        "fraction_connected": float(result.connected),
-    }
-
-
 def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict]:
     """Scenario and settings of a simulate/sweep run, plus the inputs both echo."""
     scenario = resolve_scenario(args.scenario)
@@ -233,21 +222,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         workers=args.workers,
         trace_limit=args.trace,
     )
-    payload = _estimate_payload(result)
-    payload["critical_v_over_c"] = critical_speed(scenario, args.depart_at_end)
+    est = result.estimate
+    results = {
+        "s_hat": est.s_hat,
+        "stderr_s": est.stderr_s,
+        "e_hat": list(est.e_hat),
+        "counts": list(est.counts),
+        "connected": result.connected,
+        "fraction_connected": float(result.connected),
+        "critical_v_over_c": critical_speed(scenario, args.depart_at_end),
+    }
     if result.records:
-        arms = [
+        # Every traced pair shares the run's one timeline, printed once here.
+        results["timing"] = {"emission_fs": 0, "arms": [asdict(t) for t in result.timing]}
+        results["trace"] = [
             {
-                "arrival_fs": t.arrival_fs,
-                "measure_start_fs": t.measure_start_fs,
-                "measure_end_fs": t.measure_end_fs,
-            }
-            for t in result.timing
-        ]
-        payload["trace"] = [
-            {
-                "emission_fs": 0,
-                "arms": arms,
                 "connected": result.connected,
                 "settings": list(r.settings),
                 "outcomes": list(r.outcomes),
@@ -255,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for r in result.records
         ]
     inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
-    report = make_report("simulate", inputs=inputs, results=payload, seed=args.seed)
+    report = make_report("simulate", inputs=inputs, results=results, seed=args.seed)
     sys.stdout.write(render_report(report, args.format))
     return EXIT_OK
 
@@ -274,8 +263,15 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
         raise ValueError("--v-max must exceed --v-min")
     if spacing == "log":
         lo, hi = math.log10(v_min), math.log10(v_max)
-        return [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-    return [v_min + (v_max - v_min) * i / (points - 1) for i in range(points)]
+        grid = [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+    else:
+        grid = [v_min + (v_max - v_min) * i / (points - 1) for i in range(points)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"--points {points} is too many for --v-min {v_min!r} to --v-max {v_max!r}: "
+            f"the {spacing} grid repeats a speed"
+        )
+    return grid
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -291,12 +287,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         depart_at_end=args.depart_at_end,
     )
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(curve.to_csv())
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(curve.to_csv())
     below, above = curve.transition_bracket()
     v_star = critical_speed(scenario, args.depart_at_end)
     inputs.update(

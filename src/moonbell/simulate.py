@@ -38,6 +38,9 @@ _OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
 _SEED_MASK = (1 << 64) - 1
 
+# Most pairs one run may trace; each traced pair is drawn and kept one by one.
+MAX_TRACE = 100_000
+
 
 @dataclass(frozen=True)
 class CollapseModel:
@@ -270,11 +273,12 @@ def simulate(
     Each pair is assigned one of the four setting combinations uniformly at
     random and sampled from the quantum joint distribution when the timing
     connects the measurements, else from the fallback.  The first
-    ``trace_limit`` pairs are drawn one by one and kept as records; the rest
-    are tallied in one multinomial draw, and both count towards the
-    estimate.  Results are a pure function of (scenario, model, settings,
-    n_pairs, seed, trace_limit) through a Philox stream keyed by ``seed``;
-    ``workers`` is validated for compatibility and starts no process.
+    ``trace_limit`` pairs (at most :data:`MAX_TRACE`) are drawn one by one
+    and kept as records; the rest are tallied in one multinomial draw, and
+    both count towards the estimate.  Results are a pure function of
+    (scenario, model, settings, n_pairs, seed, trace_limit) through a Philox
+    stream keyed by ``seed``; ``workers`` is validated for compatibility and
+    starts no process.
 
     A setting combination that draws no pair (likely only for small
     ``n_pairs``) has no correlation estimate: its ``e_hat`` entry is nan,
@@ -285,6 +289,8 @@ def simulate(
         raise ValueError("n_pairs must be at least 4")
     if n_pairs > 2**63 - 1:  # numpy's multinomial counts in int64
         raise ValueError("n_pairs must be at most 2**63 - 1")
+    if min(trace_limit, n_pairs) > MAX_TRACE:
+        raise ValueError(f"trace_limit (--trace) must be at most {MAX_TRACE}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 

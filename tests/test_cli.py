@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -8,6 +9,7 @@ import jsonschema
 import pytest
 
 from moonbell import preset, scenario_to_json
+from moonbell.simulate import scenario_timing
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 REPORT_SCHEMA = json.loads((REPO / "docs" / "run_report_schema.json").read_text())
@@ -105,7 +107,45 @@ def test_simulate_trace_records():
     trace = report["results"]["trace"]
     assert len(trace) == 5
     assert all(t["connected"] is False for t in trace)
-    assert trace[0]["arms"][1]["measure_end_fs"] - trace[0]["arms"][1]["measure_start_fs"] == 5000
+    arms = report["results"]["timing"]["arms"]
+    assert arms[1]["measure_end_fs"] - arms[1]["measure_start_fs"] == 5000
+
+
+def _flat_results(stdout, fmt):
+    """``results.*`` key -> value text of a csv or text report."""
+    if fmt == "csv":
+        rows = [line.split(",", 1) for line in stdout.splitlines()[1:]]
+    else:
+        rows = [line.split(": ", 1) for line in stdout.splitlines()]
+    return {key: value for key, value in rows if key.startswith("results.")}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_traced_report_prints_timeline_once(fmt):
+    args = ("simulate", "earth_moon_case3", "-n", "1000", "--seed", "2", "--format", fmt)
+    traced = run_cli(*args, "--trace", "3", check=True)
+    plain = run_cli(*args, check=True)
+    arms = [dataclasses.asdict(t) for t in scenario_timing(preset("earth_moon_case3"))]
+    record_keys = {"connected", "settings", "outcomes"}
+    if fmt == "json":
+        results = report_of(traced)["results"]
+        assert results["timing"] == {"emission_fs": 0, "arms": arms}
+        assert [set(rec) for rec in results["trace"]] == [record_keys] * 3
+        assert not {"timing", "trace"} & report_of(plain)["results"].keys()
+        return
+    flat = _flat_results(traced.stdout, fmt)
+    expected = {"results.timing.emission_fs": "0"}
+    for i, arm in enumerate(arms):
+        expected.update({f"results.timing.arms[{i}].{k}": str(v) for k, v in arm.items()})
+    assert {k: v for k, v in flat.items() if k.startswith("results.timing.")} == expected
+    assert not any(k.endswith("_fs") for k in flat.keys() - expected.keys())
+    for i in range(3):
+        prefix = f"results.trace[{i}]."
+        fields = {k[len(prefix):].split("[")[0] for k in flat if k.startswith(prefix)}
+        assert fields == record_keys
+    assert "results.trace[3].connected" not in flat
+    untraced = _flat_results(plain.stdout, fmt)
+    assert not any(k.startswith(("results.timing", "results.trace")) for k in untraced)
 
 
 def test_sweep_writes_csv_and_brackets_critical_speed(tmp_path):
@@ -290,8 +330,15 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
         (lambda d: ("bound", "gisin1999", "--tau", "inf"), 2, "tau"),
         (lambda d: ("bound", "gisin1999", "--tau", "1e300"), 2, "tau"),
         (lambda d: ("simulate", "gisin1999", "-n", str(2**63)), 2, "n_pairs"),
+        (lambda d: ("simulate", "gisin1999", "-n", "1000000000000", "--trace", "1000000000000"),
+         2, "--trace"),
         (lambda d: ("sweep", "gisin1999", "--v-min", "1", "--v-max", "inf", "--points", "3",
                     "--out", str(d / "inf.csv")), 2, "--v-max"),
+        (lambda d: ("sweep", "gisin1999", "--v-min", "1", "--v-max", "1.0000000000000002",
+                    "--points", "5", "--spacing", "linear", "--out", str(d / "lin.csv")),
+         2, "--points 5"),
+        (lambda d: ("sweep", "gisin1999", "--v-min", "1e300", "--v-max", "1.0000000000000002e300",
+                    "--points", "3", "--out", str(d / "log.csv")), 2, "--points 3"),
         (lambda d: ("linkbudget", *_UNIT_LINK, "--s-expected", "3"), 2, "2*sqrt(2)"),
         (lambda d: ("linkbudget", *_UNIT_LINK, "--s-expected", "inf"), 2, "2*sqrt(2)"),
         (lambda d: ("linkbudget", "--length-a", "1e-300m", "--length-b", "1km",
@@ -323,11 +370,10 @@ _PINNED_SIMULATE_RESULTS = {
     "fraction_connected": 1.0,
     "s_hat": 2.823588024001858,
     "stderr_s": 0.008958797595210604,
+    "timing": {"arms": _PINNED_ARMS, "emission_fs": 0},
     "trace": [
         {
-            "arms": _PINNED_ARMS,
             "connected": True,
-            "emission_fs": 0,
             "outcomes": outcomes,
             "settings": [0.0, b],
         }

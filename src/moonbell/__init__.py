@@ -7,6 +7,9 @@ models, and link-budget/sample-size planning for Earth-Moon scale links.
 
 __version__ = "0.1.0"
 
+import sys as _sys
+from types import ModuleType as _ModuleType
+
 from .bell import (
     CLASSICAL_BOUND,
     DEFAULT_SETTINGS,
@@ -39,17 +42,6 @@ from .bounds import (
 )
 from .claims import Claim, all_claims, claim_by_id, claims_as_dicts, claims_csv
 from .constants import CONSTANTS, DEFAULT_TAU_S, PhysicalConstants
-from .linkbudget import (
-    PUBLISHED_CADENCE_THRESHOLD_HZ,
-    IntegrationEstimate,
-    LinkSpec,
-    SignificancePlan,
-    budget_report,
-    coincidence_rate,
-    geometric_loss_db,
-    integration_time,
-    pairs_for_significance,
-)
 from .scenario import (
     LOCAL_ARM_M,
     PRESET_NAMES,
@@ -71,20 +63,71 @@ from .scenario import (
     symmetric_scenario,
     with_equalized_starts,
 )
-from .simulate import (
-    ArmTiming,
-    CollapseModel,
-    CorrelationEstimate,
-    PairRecord,
-    SimulationResult,
-    SweepCurve,
-    SweepPoint,
-    connected,
-    critical_speed,
-    derive_seed,
-    scenario_timing,
-    simulate,
-    sweep_speed,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Names of the two modules that only sampling and link planning use. They are
+# loaded on first access (PEP 562), so `import moonbell` and the commands that
+# need neither stay short.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PUBLISHED_CADENCE_THRESHOLD_HZ",
+            "IntegrationEstimate",
+            "LinkSpec",
+            "SignificancePlan",
+            "budget_report",
+            "coincidence_rate",
+            "geometric_loss_db",
+            "integration_time",
+            "linkbudget",
+            "pairs_for_significance",
+        ),
+        "linkbudget",
+    ),
+    **dict.fromkeys(
+        (
+            "ArmTiming",
+            "CollapseModel",
+            "CorrelationEstimate",
+            "PairRecord",
+            "SimulationResult",
+            "SweepCurve",
+            "SweepPoint",
+            "connected",
+            "critical_speed",
+            "derive_seed",
+            "scenario_timing",
+            "simulate",
+            "sweep_speed",
+        ),
+        "simulate",
+    ),
+}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's path, unlike importlib.import_module's, shows
+    # in `python -X importtime`.
+    module_name = f"{__name__}.{_LAZY[name]}"
+    __import__(module_name)
+    module = _sys.modules[module_name]
+    globals()[name] = value = module if name == "linkbudget" else getattr(module, name)
+    return value
+
+
+class _Package(_ModuleType):
+    """The package, except that `simulate` stays the function.
+
+    The import system binds a newly loaded submodule onto its package, and
+    the `simulate` submodule would replace the function of the same name.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if not (name == "simulate" and isinstance(value, _ModuleType)):
+            super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .bell import ChshSettings
@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .claims import claims_as_dicts
 from .constants import CONSTANTS
-from .linkbudget import LinkSpec, budget_report
 from .scenario import (
     PRESET_NAMES,
     Scenario,
@@ -38,57 +37,90 @@ from .scenario import (
     preset,
     with_equalized_starts,
 )
-from .simulate import CollapseModel, critical_speed, simulate, sweep_speed
+
+if TYPE_CHECKING:
+    from .linkbudget import LinkSpec, budget_report
+    from .simulate import CollapseModel, critical_speed, simulate, sweep_speed
+
+# Bound on first use, so that a command which neither samples nor plans a
+# link never loads moonbell.simulate or moonbell.linkbudget. They stay
+# attributes of this module that each command looks up when it runs, so a
+# caller may rebind them (bench/tracing.py wraps them in timing spans).
+_LAZY = ("CollapseModel", "critical_speed", "simulate", "sweep_speed", "LinkSpec", "budget_report")
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Make ``names`` globals of this module, keeping any binding already made."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNKNOWN_REF = 3
 EXIT_IO = 4
 
+# Unit suffixes are tried in order, so "s" comes after "fs" and "m" after "km".
 _DURATION_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-_LENGTH_UNITS = {"m": 1.0, "km": 1e3}
+_LENGTH_UNITS = {"km": 1e3, "m": 1.0}
+# math.radians multiplies by this same double.
+_ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
 
 
-def parse_duration(text: str) -> float:
+def _quantity(text: str, units: dict[str, float], flag: str) -> float:
+    """A number with an optional unit suffix, in the units' base unit.
+
+    A malformed value raises a ValueError that names ``flag`` and ``text``.
+    """
+    value = text.strip().lower()
+    number, scale = value, 1.0
+    for unit, unit_scale in units.items():
+        if value.endswith(unit):
+            number, scale = value[: -len(unit)], unit_scale
+            break
+    try:
+        return float(number) * scale
+    except ValueError:
+        suffix = f" with an optional {'/'.join(units)} suffix" if units else ""
+        raise ValueError(f"{flag}: {text!r} is not a number{suffix}") from None
+
+
+def parse_duration(text: str, flag: str) -> float:
     """'10ps', '5 ns', '1.5s' or a bare number of seconds."""
-    value = text.strip().lower()
-    for unit in sorted(_DURATION_UNITS, key=len, reverse=True):
-        if value.endswith(unit):
-            return float(value[: -len(unit)]) * _DURATION_UNITS[unit]
-    return float(value)
+    return _quantity(text, _DURATION_UNITS, flag)
 
 
-def parse_length(text: str) -> float:
+def parse_length(text: str, flag: str) -> float:
     """'700km', '5300m' or a bare number of metres."""
-    value = text.strip().lower()
-    for unit in sorted(_LENGTH_UNITS, key=len, reverse=True):
-        if value.endswith(unit):
-            return float(value[: -len(unit)]) * _LENGTH_UNITS[unit]
-    return float(value)
+    return _quantity(text, _LENGTH_UNITS, flag)
 
 
-def parse_angle(text: str) -> float:
+def parse_angle(text: str, flag: str) -> float:
     """Radians by default; degrees only with an explicit 'deg' suffix."""
-    value = text.strip().lower()
-    if value.endswith("deg"):
-        return math.radians(float(value[:-3]))
-    if value.endswith("rad"):
-        return float(value[:-3])
-    return float(value)
+    return _quantity(text, _ANGLE_UNITS, flag)
 
 
-def parse_speed(text: str) -> float:
-    value = text.strip().lower()
-    if value in ("inf", "infinity"):
-        return math.inf
-    return float(value)
+def parse_speed(text: str, flag: str) -> float:
+    """A multiple of c; 'inf' or 'infinity' for an instantaneous influence."""
+    return _quantity(text, {}, flag)
 
 
 def parse_settings(text: str) -> ChshSettings:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 4:
         raise ValueError("--settings needs four comma-separated angles: a,a',b,b'")
-    a, a_prime, b, b_prime = (parse_angle(p) for p in parts)
+    try:
+        a, a_prime, b, b_prime = (parse_angle(p, "--settings") for p in parts)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, in {text!r}") from None
     return ChshSettings(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
 
 
@@ -169,7 +201,7 @@ def _scenario_summary(scenario: Scenario) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args.scenario)
-    tau = parse_duration(args.tau) if args.tau is not None else None
+    tau = parse_duration(args.tau, "--tau") if args.tau is not None else None
     bound = speed_bound(scenario, tau)
     # Gains compared at the same resolved tau, so they reduce to length ratios.
     gain_gisin = bound.v_min_over_c / speed_bound(preset("gisin1999"), bound.tau_s).v_min_over_c
@@ -207,9 +239,10 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("CollapseModel", "simulate", "critical_speed")
     scenario, settings, inputs = _resolve_run(args)
     model = CollapseModel(
-        v_over_c=parse_speed(args.v_over_c),
+        v_over_c=parse_speed(args.v_over_c, "--v-over-c"),
         fallback=args.fallback,
         depart_at_end=args.depart_at_end,
     )
@@ -275,6 +308,7 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _bind("sweep_speed", "critical_speed")
     scenario, settings, inputs = _resolve_run(args)
     grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
     curve = sweep_speed(
@@ -318,15 +352,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_linkbudget(args: argparse.Namespace) -> int:
+    _bind("LinkSpec", "budget_report")
     arm_a = LinkSpec(
-        length_m=parse_length(args.length_a),
-        reference_length_m=parse_length(args.ref_length),
+        length_m=parse_length(args.length_a, "--length-a"),
+        reference_length_m=parse_length(args.ref_length, "--ref-length"),
         reference_loss_db=args.ref_loss_db,
         detector_efficiency=args.eff_a,
     )
     arm_b = LinkSpec(
-        length_m=parse_length(args.length_b),
-        reference_length_m=parse_length(args.ref_length),
+        length_m=parse_length(args.length_b, "--length-b"),
+        reference_length_m=parse_length(args.ref_length, "--ref-length"),
         reference_loss_db=args.ref_loss_db,
         detector_efficiency=args.eff_b,
     )
@@ -366,7 +401,10 @@ def cmd_scales(args: argparse.Namespace) -> int:
         parts = [p.strip() for p in args.n_values.split(",") if p.strip()]
         if not parts:
             raise ValueError("--n-values must list at least one integer exponent")
-        n_values = [int(p) for p in parts]
+        try:
+            n_values = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"--n-values: {args.n_values!r} is not a comma-separated list of integers") from None
     else:
         n_values = [-1, 0, 1]
     window = ObservationWindow(args.d_min, args.d_max)
@@ -483,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_linkbudget)
 
     p = sub.add_parser("scales", parents=[fmt], help="A-priori speed/distance scale survey.")
-    p.add_argument("--n-values", default=None, help="comma-separated exponents (default -1,0,1)")
+    p.add_argument("--n-values", default=None,
+                   help="comma-separated exponents (default -1,0,1); a list that starts "
+                   "with a negative one needs the = form, --n-values=-1,0,1")
     p.add_argument("--mass", type=float, default=CONSTANTS.m_proton, help="coupling mass, kg")
     p.add_argument("--d-min", type=float, default=1e-2, help="observable window floor, m")
     p.add_argument("--d-max", type=float, default=10.0 * CONSTANTS.d_earth_moon_mean,

@@ -455,3 +455,28 @@ def test_out_of_range_numbers_exit_2(argv, needle):
     assert proc.returncode == 2, proc.stderr
     assert needle in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("bound", "gisin1999", "--tau", "5xs"), "--tau: '5xs'"),
+        (("linkbudget", "--length-a", "5mi", "--length-b", "1km", "--pair-rate", "1"),
+         "--length-a: '5mi'"),
+        (("linkbudget", "--length-a", "1km", "--length-b", "2 parsec", "--pair-rate", "1"),
+         "--length-b: '2 parsec'"),
+        (("linkbudget", *_UNIT_LINK[:4], "--ref-length", "km", "--pair-rate", "1"),
+         "--ref-length: 'km'"),
+        (("simulate", "gisin1999", "--v-over-c", "fast"), "--v-over-c: 'fast'"),
+        (("simulate", "gisin1999", "--settings", "0,45dgr,22.5deg,67.5deg"),
+         "--settings: '45dgr' is not a number with an optional deg/rad suffix, "
+         "in '0,45dgr,22.5deg,67.5deg'"),
+        (("scales", "--n-values=1,x"), "--n-values: '1,x'"),
+    ],
+)
+def test_unit_parse_error_names_flag_and_input(argv, needle):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert needle in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -29,7 +29,6 @@ from .constants import CONSTANTS
 from .scenario import (
     PRESET_NAMES,
     Scenario,
-    ScenarioError,
     UnknownPresetError,
     arm_length,
     detector_separation,
@@ -116,7 +115,7 @@ def parse_speed(text: str, flag: str) -> float:
 def parse_settings(text: str) -> ChshSettings:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 4:
-        raise ValueError("--settings needs four comma-separated angles: a,a',b,b'")
+        raise ValueError(f"--settings needs four comma-separated angles: a,a',b,b', in {text!r}")
     try:
         a, a_prime, b, b_prime = (parse_angle(p, "--settings") for p in parts)
     except ValueError as exc:
@@ -199,26 +198,15 @@ def _scenario_summary(scenario: Scenario) -> dict:
     }
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> tuple[dict, dict]:
     scenario = resolve_scenario(args.scenario)
     tau = parse_duration(args.tau, "--tau") if args.tau is not None else None
     bound = speed_bound(scenario, tau)
     # Gains compared at the same resolved tau, so they reduce to length ratios.
     gain_gisin = bound.v_min_over_c / speed_bound(preset("gisin1999"), bound.tau_s).v_min_over_c
     gain_cao = bound.v_min_over_c / speed_bound(preset("cao2017"), bound.tau_s).v_min_over_c
-    report = make_report(
-        "bound",
-        inputs={"scenario": _scenario_summary(scenario), "tau_s": bound.tau_s},
-        results={
-            "l_max_m": bound.l_max_m,
-            "tau_s": bound.tau_s,
-            "v_min_over_c": bound.v_min_over_c,
-            "gain_vs_gisin1999": gain_gisin,
-            "gain_vs_cao2017": gain_cao,
-        },
-    )
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
+    inputs = {"scenario": _scenario_summary(scenario), "tau_s": bound.tau_s}
+    return inputs, {**asdict(bound), "gain_vs_gisin1999": gain_gisin, "gain_vs_cao2017": gain_cao}
 
 
 def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict]:
@@ -238,7 +226,7 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
     return scenario, settings, inputs
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     _bind("CollapseModel", "simulate", "critical_speed")
     scenario, settings, inputs = _resolve_run(args)
     model = CollapseModel(
@@ -277,9 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for r in result.records
         ]
     inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
-    report = make_report("simulate", inputs=inputs, results=results, seed=args.seed)
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
+    return inputs, results
 
 
 def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
@@ -307,7 +293,7 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
     return grid
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
     _bind("sweep_speed", "critical_speed")
     scenario, settings, inputs = _resolve_run(args)
     grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
@@ -333,70 +319,57 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_pairs_per_point=args.pairs,
         out=args.out,
     )
-    report = make_report(
-        "sweep",
-        inputs=inputs,
-        results={
-            "csv_path": args.out,
-            "rows": len(curve.points),
-            "critical_v_over_c": v_star,
-            "transition_bracket": {"below": below, "above": above},
-            "bracket_contains_critical": (
-                (below is None or below < v_star) and (above is None or v_star <= above)
-            ),
-        },
-        seed=args.seed,
-    )
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
+    return inputs, {
+        "csv_path": args.out,
+        "rows": len(curve.points),
+        "critical_v_over_c": v_star,
+        "transition_bracket": {"below": below, "above": above},
+        "bracket_contains_critical": (below is None or below < v_star) and (above is None or v_star <= above),
+    }
 
 
-def cmd_linkbudget(args: argparse.Namespace) -> int:
+def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
     _bind("LinkSpec", "budget_report")
-    arm_a = LinkSpec(
-        length_m=parse_length(args.length_a, "--length-a"),
-        reference_length_m=parse_length(args.ref_length, "--ref-length"),
-        reference_loss_db=args.ref_loss_db,
-        detector_efficiency=args.eff_a,
-    )
-    arm_b = LinkSpec(
-        length_m=parse_length(args.length_b, "--length-b"),
-        reference_length_m=parse_length(args.ref_length, "--ref-length"),
-        reference_loss_db=args.ref_loss_db,
-        detector_efficiency=args.eff_b,
-    )
-    for name, arm in (("A", arm_a), ("B", arm_b)):
-        # The L^-2 law would turn the reference loss into a gain.
+    ref_length = parse_length(args.ref_length, "--ref-length")
+    arm_a, arm_b = arms = [
+        LinkSpec(
+            length_m=parse_length(length, flag),
+            reference_length_m=ref_length,
+            reference_loss_db=args.ref_loss_db,
+            detector_efficiency=eff,
+        )
+        for flag, length, eff in (
+            ("--length-a", args.length_a, args.eff_a),
+            ("--length-b", args.length_b, args.eff_b),
+        )
+    ]
+    # The L^-2 law would turn the reference loss into a gain. Checked after
+    # both arms parse, so a malformed --length-b is still the error named.
+    for name, arm in zip("AB", arms):
         if arm.total_loss_db < 0.0:
             raise ValueError(
                 f"arm {name} ({arm.length_m!r} m) is shorter than --ref-length "
-                f"({arm.reference_length_m!r} m) by more than --ref-loss-db "
-                f"({arm.reference_loss_db!r} dB) covers; its loss would be "
+                f"({ref_length!r} m) by more than --ref-loss-db "
+                f"({args.ref_loss_db!r} dB) covers; its loss would be "
                 f"{arm.total_loss_db:.3f} dB"
             )
-    results = budget_report(
+    inputs = {
+        "length_a_m": arm_a.length_m,
+        "length_b_m": arm_b.length_m,
+        "reference_length_m": ref_length,
+        "reference_loss_db": args.ref_loss_db,
+        "eff_a": args.eff_a,
+        "eff_b": args.eff_b,
+        "pair_rate_hz": args.pair_rate,
+        "s_expected": args.s_expected,
+        "k_sigma": args.k_sigma,
+    }
+    return inputs, budget_report(
         arm_a, arm_b, pair_rate_hz=args.pair_rate, s_expected=args.s_expected, k_sigma=args.k_sigma
     )
-    report = make_report(
-        "linkbudget",
-        inputs={
-            "length_a_m": arm_a.length_m,
-            "length_b_m": arm_b.length_m,
-            "reference_length_m": arm_a.reference_length_m,
-            "reference_loss_db": args.ref_loss_db,
-            "eff_a": args.eff_a,
-            "eff_b": args.eff_b,
-            "pair_rate_hz": args.pair_rate,
-            "s_expected": args.s_expected,
-            "k_sigma": args.k_sigma,
-        },
-        results=results,
-    )
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
 
 
-def cmd_scales(args: argparse.Namespace) -> int:
+def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.n_values is not None:
         parts = [p.strip() for p in args.n_values.split(",") if p.strip()]
         if not parts:
@@ -410,57 +383,23 @@ def cmd_scales(args: argparse.Namespace) -> int:
     window = ObservationWindow(args.d_min, args.d_max)
     rows = apriori_scales(n_values, mass_kg=args.mass, window=window)
     rows.append(mond_candidate(window))
-    report = make_report(
-        "scales",
-        inputs={
-            "n_values": n_values,
-            "mass_kg": args.mass,
-            "window_m": {"d_min": window.d_min_m, "d_max": window.d_max_m},
-        },
-        results={
-            "rows": [
-                {
-                    "n": r.n,
-                    "v_over_c": r.v_over_c,
-                    "d_m": r.d_m,
-                    "classification": r.classification,
-                }
-                for r in rows
-            ]
-        },
-    )
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
+    inputs = {
+        "n_values": n_values,
+        "mass_kg": args.mass,
+        "window_m": {"d_min": window.d_min_m, "d_max": window.d_max_m},
+    }
+    return inputs, {"rows": [asdict(r) for r in rows]}
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict]:
     if not os.path.exists(args.file):
         raise UnknownPresetError(f"no such scenario file: {args.file}")
     scenario = load_scenario_file(args.file)
-    report = make_report(
-        "validate",
-        inputs={"file": args.file},
-        results={"valid": True, "scenario": _scenario_summary(scenario)},
-    )
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
+    return {"file": args.file}, {"valid": True, "scenario": _scenario_summary(scenario)}
 
 
-def cmd_presets(args: argparse.Namespace) -> int:
-    rows = []
-    for name in PRESET_NAMES:
-        p = preset(name)
-        rows.append(_scenario_summary(p))
-    report = make_report("presets", inputs={}, results={"presets": rows})
-    sys.stdout.write(render_report(report, args.format))
-    return EXIT_OK
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MOONBELL_WORKERS", "1")))
-    except ValueError:
-        return 1
+def cmd_presets(args: argparse.Namespace) -> tuple[dict, dict]:
+    return {}, {"presets": [_scenario_summary(preset(name)) for name in PRESET_NAMES]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--settings", default="0,45deg,22.5deg,67.5deg",
                      help="four analyzer angles a,a',b,b' (radians; 'deg' suffix accepted)")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=_default_workers())
+    sim.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility (must be >= 1); changes nothing")
     sim.add_argument("--equalize-starts", action="store_true",
                      help="delay the earlier measurement to the later photon arrival")
     sim.add_argument("--depart-at-end", action="store_true",
@@ -541,22 +481,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: each ``cmd_*`` returns its echoed inputs and its
+    results, and only this function builds, renders and writes the report."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs, results = args.func(args)
+        report = make_report(args.command, inputs, results, getattr(args, "seed", None))
+        sys.stdout.write(render_report(report, args.format))
     except UnknownPresetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNKNOWN_REF
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

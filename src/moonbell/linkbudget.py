@@ -22,10 +22,6 @@ PUBLISHED_CADENCE_THRESHOLD_HZ = cadence_threshold(
     ProperTimeFactor.from_correction(PUBLISHED_ALPHA_CORRECTION_MOON),
 )
 
-# Per-setting variance of the outcome product at the default angles:
-# each |E| = sqrt(2)/2, so 1 - E^2 = 1/2 for all four settings.
-_DEFAULT_VARIANCE_SUM = 2.0
-
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -51,6 +47,10 @@ class LinkSpec:
     def __post_init__(self) -> None:
         if not (self.length_m > 0.0 and self.reference_length_m > 0.0):
             raise ValueError("lengths must be > 0")
+        if not math.isfinite(self.reference_loss_db):
+            raise ValueError(
+                f"reference loss (--ref-loss-db) must be finite, got {self.reference_loss_db!r} dB"
+            )
         if self.reference_loss_db < 0.0:
             raise ValueError("reference loss must be >= 0 dB")
         if not 0.0 < self.detector_efficiency <= 1.0:
@@ -88,10 +88,13 @@ class SignificancePlan:
 def pairs_for_significance(s_expected: float, k_sigma: float) -> SignificancePlan:
     """Smallest per-setting count putting the expected violation k sigma out.
 
-    Uses the standard-error model sqrt(sum (1 - E_i^2)/n) with the four
-    default-setting correlations |E_i| = sqrt(2)/2 and equal counts per
-    setting; ``s_expected`` must lie in (2, 2*sqrt(2)].  The returned n satisfies
-    (s_expected - 2) / sqrt(2/n) >= k_sigma.
+    Uses the standard error that ``simulate`` prints, sqrt(sum (1 - E_i^2)/n),
+    with n pairs per setting.  At the default angles an expected S means
+    |E_i| = S/4 for all four settings (Clauser, Horne, Shimony and Holt,
+    PRL 23, 880, 1969), so sum (1 - E_i^2) = 4 - S^2/4: 2 at S = 2*sqrt(2),
+    and more as S falls towards 2.  ``s_expected`` must lie in (2, 2*sqrt(2)].
+    The returned n satisfies
+    (s_expected - 2) / sqrt((4 - s_expected**2 / 4) / n) >= k_sigma.
     """
     if not s_expected > 2.0:
         raise ValueError("s_expected must exceed the classical bound 2")
@@ -100,7 +103,7 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> SignificancePla
     if not k_sigma >= 0.0:
         raise ValueError("k_sigma must be >= 0")
     try:
-        n = max(1, math.ceil(_DEFAULT_VARIANCE_SUM * (k_sigma / (s_expected - 2.0)) ** 2))
+        n = max(1, math.ceil((4.0 - s_expected**2 / 4.0) * (k_sigma / (s_expected - 2.0)) ** 2))
     except OverflowError:
         raise ValueError("k_sigma / (s_expected - 2) is too large for a finite pair count") from None
     return SignificancePlan(
@@ -119,6 +122,8 @@ def coincidence_rate(
     eff_b: float = 1.0,
 ) -> float:
     """Detected coincidences per second after both arms' losses."""
+    if not math.isfinite(pair_rate_hz):
+        raise ValueError(f"pair rate (--pair-rate) must be finite, got {pair_rate_hz!r}")
     if not pair_rate_hz > 0.0:
         raise ValueError("pair rate must be > 0")
     if loss_a_db < 0.0 or loss_b_db < 0.0:

@@ -289,6 +289,8 @@ def simulate(
         raise ValueError("n_pairs must be at least 4")
     if n_pairs > 2**63 - 1:  # numpy's multinomial counts in int64
         raise ValueError("n_pairs must be at most 2**63 - 1")
+    if trace_limit < 0:
+        raise ValueError(f"trace_limit (--trace) must be >= 0, got {trace_limit}")
     if min(trace_limit, n_pairs) > MAX_TRACE:
         raise ValueError(f"trace_limit (--trace) must be at most {MAX_TRACE}")
     if workers < 1:
@@ -304,7 +306,7 @@ def simulate(
     tables = np.array(_outcome_tables(settings, is_connected, model.fallback), dtype=np.float64)
     p = tables.ravel() / 4.0
     rng = np.random.Generator(np.random.Philox(seed & _SEED_MASK))
-    n_rec = max(0, min(trace_limit, n_pairs))
+    n_rec = min(trace_limit, n_pairs)
     traced = rng.choice(16, size=n_rec, p=p)
     tally = np.bincount(traced, minlength=16) + rng.multinomial(n_pairs - n_rec, p)
     cells = tally.reshape(4, 4)

@@ -347,6 +347,13 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
         (lambda d: ("linkbudget", "--length-a", "1e300m", "--length-b", "1km",
                     "--ref-length", "1e-300m", "--pair-rate", "1"),
          2, "1e+300 m / 1e-300 m"),
+        (lambda d: ("simulate", "gisin1999", "--trace", "-5"), 2, "--trace) must be >= 0, got -5"),
+        (lambda d: ("linkbudget", *_UNIT_LINK[:6], "--pair-rate", "inf"),
+         2, "pair rate (--pair-rate) must be finite, got inf"),
+        (lambda d: ("linkbudget", *_UNIT_LINK, "--ref-loss-db", "nan"),
+         2, "reference loss (--ref-loss-db) must be finite, got nan"),
+        (lambda d: ("linkbudget", *_UNIT_LINK, "--ref-loss-db", "inf"),
+         2, "reference loss (--ref-loss-db) must be finite, got inf"),
     ],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):
@@ -415,6 +422,40 @@ def test_seeded_sweep_csv_is_pinned(tmp_path):
     assert out.read_bytes() == _PINNED_SWEEP_CSV.encode()
 
 
+# One report per subcommand, captured while each command still built and
+# printed its own report; the ledger and version around it may change.
+# "{tmp}" stands for the test's scratch directory.
+_PINNED_REPORTS = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
+
+
+def _flat_lines(value, prefix, fmt):
+    """The csv or text lines that render ``value`` under ``prefix``."""
+    if isinstance(value, dict):
+        return [line for key in sorted(value) for line in _flat_lines(value[key], f"{prefix}.{key}", fmt)]
+    if isinstance(value, list):
+        return [line for i, v in enumerate(value) for line in _flat_lines(v, f"{prefix}[{i}]", fmt)]
+    if fmt == "text":
+        return [f"{prefix}: {value}"]
+    text = "" if value is None else str(value)
+    return [f"{prefix},{text}"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", sorted(_PINNED_REPORTS))
+def test_report_inputs_and_results_are_pinned(tmp_path, command, fmt):
+    (tmp_path / "gisin1999.json").write_text(scenario_to_json(preset("gisin1999")))
+    pinned = json.loads(json.dumps(_PINNED_REPORTS[command]).replace("{tmp}", str(tmp_path)))
+    pinned["command"] = command
+    keys = ("command", "inputs", "results", "seed")
+    proc = run_cli(*pinned["argv"], "--format", fmt, check=True)
+    if fmt == "json":
+        report = report_of(proc)
+        assert {key: report[key] for key in keys} == {key: pinned[key] for key in keys}
+        return
+    printed = [line for line in proc.stdout.splitlines() if line.startswith(keys)]
+    assert printed == [line for key in keys for line in _flat_lines(pinned[key], key, fmt)]
+
+
 def test_empty_setting_cell_reports_nan_and_exits_0():
     # 4 pairs leave two of the four setting combinations empty for seed 0.
     proc = run_cli("simulate", "gisin1999", "-n", "4", "--seed", "0", check=True)
@@ -472,6 +513,8 @@ def test_out_of_range_numbers_exit_2(argv, needle):
          "--settings: '45dgr' is not a number with an optional deg/rad suffix, "
          "in '0,45dgr,22.5deg,67.5deg'"),
         (("scales", "--n-values=1,x"), "--n-values: '1,x'"),
+        (("simulate", "gisin1999", "--settings", "1,2,3"),
+         "--settings needs four comma-separated angles: a,a',b,b', in '1,2,3'"),
     ],
 )
 def test_unit_parse_error_names_flag_and_input(argv, needle):

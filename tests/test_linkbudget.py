@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from moonbell import (
+    TSIRELSON_BOUND,
     LinkSpec,
     budget_report,
     coincidence_rate,
@@ -55,6 +58,27 @@ def test_pairs_for_significance_monotonicity():
     ss = [2.05, 2.2, 2.5, 2.8]
     ns = [pairs_for_significance(s, 3.0).pairs_per_setting for s in ss]
     assert ns == sorted(ns, reverse=True)
+
+
+def test_pairs_for_significance_below_tsirelson():
+    # |E_i| = S/4 gives sum(1 - E_i^2) = 4 - 2.2**2/4 = 2.79, so 628 pairs,
+    # where a fixed sum of 2 planned 450 (2.54 sigma).
+    assert pairs_for_significance(2.2, 3.0).pairs_per_setting == 628
+    # The float 2.4 lies just below 12/5, so the exact count lies just above 144.
+    assert pairs_for_significance(2.4, 3.0).pairs_per_setting == 145
+
+
+@given(st.floats(2.0 + 1e-6, TSIRELSON_BOUND), st.floats(0.0, 100.0))
+def test_planned_pairs_reach_k_sigma_and_one_fewer_does_not(s, k):
+    n = pairs_for_significance(s, k).pairs_per_setting
+    # The per-setting count at which simulate's stderr_s,
+    # sqrt(sum(1 - E_i^2)/n) with |E_i| = s/4, puts s exactly k sigma above 2.
+    # Computed exactly for these float inputs; the slack covers the plan's
+    # own float rounding.
+    exact = (4 - Fraction(s) ** 2 / 4) * (Fraction(k) / (Fraction(s) - 2)) ** 2
+    slack = exact / 10**14
+    assert n >= exact - slack
+    assert n == 1 or n - 1 < exact + slack
 
 
 def test_binomial_oracle_confirms_27_pairs_at_three_sigma():

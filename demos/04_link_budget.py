@@ -16,7 +16,6 @@ from moonbell import (
     budget_report,
     coincidence_rate,
     geometric_loss_db,
-    integration_time,
     pairs_for_significance,
 )
 
@@ -27,9 +26,8 @@ for length in (500e3, 1203e3 / 2, CONSTANTS.d_earth_moon_mean, 2.25e11):
 
 # How many pairs make a violation statistically solid?
 for k in (1.0, 3.0, 5.0):
-    plan = pairs_for_significance(2 * math.sqrt(2), k)
-    print(f"k = {k:.0f} sigma: {plan.pairs_per_setting:4d} pairs/setting "
-          f"({plan.total_pairs} total)")
+    n = pairs_for_significance(2 * math.sqrt(2), k)
+    print(f"k = {k:.0f} sigma: {n:4d} pairs/setting ({4 * n} total)")
 
 # A full budget: lunar source, one arm to Earth, one local.
 moon_arm = LinkSpec(
@@ -54,7 +52,9 @@ for pair_rate in (1e6, 1e9, 1e12):
     print(f"source {pair_rate:8.1e} pairs/s -> {rate:10.4g} coincidences/s, "
           f"{report['pairs_required']} pairs in {t:10.4g} s, clock correction: {flag}")
 
-# The correction flag alone, at the quoted 12.5 photons/s threshold.
-est = integration_time(12.5, 108)
-print(f"\nat exactly 12.5 detections/s: {est.time_s:.2f} s, "
-      f"correction applies: {est.correction_applies}")
+# The correction flag alone, at the quoted 12.5 photons/s threshold: two
+# lossless arms make the coincidence rate the pair rate.
+lossless = LinkSpec(length_m=1.0, reference_length_m=1.0, reference_loss_db=0.0)
+report = budget_report(lossless, lossless, pair_rate_hz=12.5)
+print(f"\nat exactly 12.5 detections/s: {report['integration_time_s']:.2f} s, "
+      f"correction applies: {report['cadence_flag']['correction_applies']}")

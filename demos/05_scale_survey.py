@@ -37,7 +37,7 @@ for row in rows:
 # ~3.4e6 times smaller and pushes the kappa^-1 scale out of the window.
 m_electron = 9.1093837015e-31
 print(f"\nkappa(electron) = {kappa(m_electron):.4g}")
-for row in apriori_scales([-1], mass_kg=m_electron, include_infinite_base=False):
+for row in apriori_scales([-1], mass_kg=m_electron)[1:]:
     print(f"electron, N=-1: D = {row.d_m:.3g} m -> {row.classification}")
 
 print(f"\nproton kappa^-1 distance: {CONSTANTS.planck_length / kappa():.4g} m")

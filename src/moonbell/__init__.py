@@ -28,7 +28,6 @@ from .bounds import (
     MOND_SCALE_M,
     AprioriCandidate,
     ObservationWindow,
-    ProperTimeFactor,
     SpeedBound,
     apriori_scales,
     cadence_threshold,
@@ -36,11 +35,18 @@ from .bounds import (
     gain_factor,
     kappa,
     mond_candidate,
-    proper_time_factor,
+    proper_time_correction,
     speed_bound,
     swapping_effective_length,
 )
-from .claims import Claim, all_claims, claim_by_id, claims_as_dicts, claims_csv
+from .claims import (
+    PUBLISHED_CADENCE_THRESHOLD_HZ,
+    Claim,
+    all_claims,
+    claim_by_id,
+    claims_as_dicts,
+    claims_csv,
+)
 from .constants import CONSTANTS, DEFAULT_TAU_S, PhysicalConstants
 from .scenario import (
     LOCAL_ARM_M,
@@ -70,14 +76,10 @@ from .scenario import (
 _LAZY = {
     **dict.fromkeys(
         (
-            "PUBLISHED_CADENCE_THRESHOLD_HZ",
-            "IntegrationEstimate",
             "LinkSpec",
-            "SignificancePlan",
             "budget_report",
             "coincidence_rate",
             "geometric_loss_db",
-            "integration_time",
             "linkbudget",
             "pairs_for_significance",
         ),

@@ -71,41 +71,27 @@ def gain_factor(scenario_new: Scenario, scenario_ref: Scenario) -> float:
     return speed_bound(scenario_new).v_min_over_c / speed_bound(scenario_ref).v_min_over_c
 
 
-@dataclass(frozen=True)
-class ProperTimeFactor:
-    """Gravitational time-rate factor alpha = 1 - GM/(R c^2) at a body's surface."""
+def proper_time_correction(gm_m3_s2: float, radius_m: float) -> float:
+    """Proper-time correction 1 - alpha = GM/(R c^2) for a site on a body's surface.
 
-    alpha: float
-    correction: float
-
-    @classmethod
-    def from_correction(cls, correction: float) -> "ProperTimeFactor":
-        if correction < 0.0:
-            raise ValueError("correction must be >= 0")
-        return cls(alpha=1.0 - correction, correction=correction)
-
-
-def proper_time_factor(gm_m3_s2: float, radius_m: float) -> ProperTimeFactor:
-    """Proper-time factor for a site on the surface of a body.
-
-    ``gm_m3_s2`` is the body's gravitational parameter GM; the correction
-    1 - alpha = GM/(R c^2) is the fractional clock-rate offset relative to a
-    far-away observer.
+    ``gm_m3_s2`` is the body's gravitational parameter GM; the correction is
+    the fractional clock-rate offset relative to a far-away observer.
     """
     if not (gm_m3_s2 > 0.0 and radius_m > 0.0):
         raise ValueError("GM and R must be > 0")
-    correction = gm_m3_s2 / (radius_m * CONSTANTS.c**2)
-    return ProperTimeFactor(alpha=1.0 - correction, correction=correction)
+    return gm_m3_s2 / (radius_m * CONSTANTS.c**2)
 
 
-def cadence_threshold(factor_a: ProperTimeFactor, factor_b: ProperTimeFactor) -> float:
+def cadence_threshold(correction_a: float, correction_b: float) -> float:
     """Detection rate above which the clock-rate difference matters, photons/s.
 
     Once more than one photon is detected per 1/correction seconds, the
     per-event timestamps shift by a visible fraction of the spacing, so the
     proper-time correction must enter the timing analysis.
     """
-    worst = max(factor_a.correction, factor_b.correction)
+    if correction_a < 0.0 or correction_b < 0.0:
+        raise ValueError("corrections must be >= 0")
+    worst = max(correction_a, correction_b)
     if worst == 0.0:
         raise ValueError("both corrections are zero; no finite cadence threshold")
     return 1.0 / worst
@@ -189,28 +175,25 @@ def apriori_scales(
     n_values: list[int],
     mass_kg: float = CONSTANTS.m_proton,
     window: ObservationWindow = EARTH_MOON_WINDOW,
-    include_infinite_base: bool = True,
 ) -> list[AprioriCandidate]:
     """Enumerate kappa-power candidates for the given exponents.
 
     Each exponent N yields V = kappa^N * c and D = kappa^N * (Planck
-    length).  With ``include_infinite_base`` the instantaneous base case
-    (V infinite, D at the Planck length) is prepended, since fundamental
-    constants alone allow V = c or V = infinity.
+    length).  The instantaneous base case (V infinite, D at the Planck
+    length) comes first, since fundamental constants alone allow V = c or
+    V = infinity.
     """
     if not n_values:
         raise ValueError("n_values must not be empty")
     k = kappa(mass_kg)
-    candidates: list[AprioriCandidate] = []
-    if include_infinite_base:
-        candidates.append(
-            AprioriCandidate(
-                n=0,
-                v_over_c=math.inf,
-                d_m=CONSTANTS.planck_length,
-                classification=classify_scale(CONSTANTS.planck_length, window),
-            )
+    candidates = [
+        AprioriCandidate(
+            n=0,
+            v_over_c=math.inf,
+            d_m=CONSTANTS.planck_length,
+            classification=classify_scale(CONSTANTS.planck_length, window),
         )
+    ]
     for n in n_values:
         try:
             v_over_c = k**n

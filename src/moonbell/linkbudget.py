@@ -12,15 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .bell import TSIRELSON_BOUND
-from .bounds import ProperTimeFactor, cadence_threshold
-from .claims import PUBLISHED_ALPHA_CORRECTION_EARTH, PUBLISHED_ALPHA_CORRECTION_MOON
-
-# Detection rate above which the proposal's quoted proper-time corrections
-# start to matter (1/0.08 = 12.5 photons/s).
-PUBLISHED_CADENCE_THRESHOLD_HZ = cadence_threshold(
-    ProperTimeFactor.from_correction(PUBLISHED_ALPHA_CORRECTION_EARTH),
-    ProperTimeFactor.from_correction(PUBLISHED_ALPHA_CORRECTION_MOON),
-)
+from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
 
 
 @dataclass(frozen=True)
@@ -71,22 +63,8 @@ def geometric_loss_db(reference_length_m: float, length_m: float) -> float:
     return 20.0 * math.log10(ratio)
 
 
-@dataclass(frozen=True)
-class SignificancePlan:
-    """Sample size needed to see a Bell violation at ``k_sigma`` significance."""
-
-    s_expected: float
-    classical_bound: float
-    k_sigma: float
-    pairs_per_setting: int
-
-    @property
-    def total_pairs(self) -> int:
-        return 4 * self.pairs_per_setting
-
-
-def pairs_for_significance(s_expected: float, k_sigma: float) -> SignificancePlan:
-    """Smallest per-setting count putting the expected violation k sigma out.
+def pairs_for_significance(s_expected: float, k_sigma: float) -> int:
+    """Smallest per-setting pair count putting the expected violation k sigma out.
 
     Uses the standard error that ``simulate`` prints, sqrt(sum (1 - E_i^2)/n),
     with n pairs per setting.  At the default angles an expected S means
@@ -106,12 +84,7 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> SignificancePla
         n = max(1, math.ceil((4.0 - s_expected**2 / 4.0) * (k_sigma / (s_expected - 2.0)) ** 2))
     except OverflowError:
         raise ValueError("k_sigma / (s_expected - 2) is too large for a finite pair count") from None
-    return SignificancePlan(
-        s_expected=s_expected,
-        classical_bound=2.0,
-        k_sigma=k_sigma,
-        pairs_per_setting=n,
-    )
+    return n
 
 
 def coincidence_rate(
@@ -133,36 +106,6 @@ def coincidence_rate(
     return pair_rate_hz * 10.0 ** (-loss_a_db / 10.0) * 10.0 ** (-loss_b_db / 10.0) * eff_a * eff_b
 
 
-@dataclass(frozen=True)
-class IntegrationEstimate:
-    """Time to collect ``total_pairs`` coincidences at a given rate."""
-
-    time_s: float
-    rate_hz: float
-    total_pairs: int
-    cadence_threshold_hz: float
-    correction_applies: bool
-
-
-def integration_time(
-    rate_hz: float,
-    total_pairs: int,
-    cadence_threshold_hz: float = PUBLISHED_CADENCE_THRESHOLD_HZ,
-) -> IntegrationEstimate:
-    """total_pairs / rate, flagged when the cadence needs the clock correction."""
-    if not rate_hz > 0.0:
-        raise ValueError("rate must be > 0")
-    if total_pairs < 1:
-        raise ValueError("total_pairs must be >= 1")
-    return IntegrationEstimate(
-        time_s=total_pairs / rate_hz,
-        rate_hz=rate_hz,
-        total_pairs=total_pairs,
-        cadence_threshold_hz=cadence_threshold_hz,
-        correction_applies=rate_hz >= cadence_threshold_hz,
-    )
-
-
 def budget_report(
     arm_a: LinkSpec,
     arm_b: LinkSpec,
@@ -170,24 +113,30 @@ def budget_report(
     s_expected: float = TSIRELSON_BOUND,
     k_sigma: float = 3.0,
 ) -> dict:
-    """Full link budget as the published JSON shape."""
+    """Full link budget as the published JSON shape.
+
+    The integration time is the 4n pairs over the coincidence rate, and the
+    cadence flag is set when that rate reaches the threshold at which the
+    printed proper-time corrections matter.
+    """
+    loss_a, loss_b = arm_a.total_loss_db, arm_b.total_loss_db
     rate = coincidence_rate(
-        pair_rate_hz,
-        arm_a.total_loss_db,
-        arm_b.total_loss_db,
-        arm_a.detector_efficiency,
-        arm_b.detector_efficiency,
+        pair_rate_hz, loss_a, loss_b, arm_a.detector_efficiency, arm_b.detector_efficiency
     )
-    plan = pairs_for_significance(s_expected, k_sigma)
-    integration = integration_time(rate, plan.total_pairs)
+    per_setting = pairs_for_significance(s_expected, k_sigma)
+    if not rate > 0.0:
+        raise ValueError(
+            f"coincidence rate underflows to 0 with arm losses {loss_a!r} dB and {loss_b!r} dB;"
+            " lower the reference loss (--ref-loss-db)"
+        )
     return {
-        "losses_db": {"arm_a": arm_a.total_loss_db, "arm_b": arm_b.total_loss_db},
+        "losses_db": {"arm_a": loss_a, "arm_b": loss_b},
         "coincidence_rate": rate,
-        "pairs_required": plan.total_pairs,
-        "pairs_per_setting": plan.pairs_per_setting,
-        "integration_time_s": integration.time_s,
+        "pairs_required": 4 * per_setting,
+        "pairs_per_setting": per_setting,
+        "integration_time_s": 4 * per_setting / rate,
         "cadence_flag": {
-            "threshold_hz": integration.cadence_threshold_hz,
-            "correction_applies": integration.correction_applies,
+            "threshold_hz": PUBLISHED_CADENCE_THRESHOLD_HZ,
+            "correction_applies": rate >= PUBLISHED_CADENCE_THRESHOLD_HZ,
         },
     }

@@ -209,7 +209,6 @@ def _two_site_scenario(
     source_name: str,
     det_a: Site,
     det_b: Site,
-    tau_s: float,
     source_pos: Vec = (0.0, 0.0, 0.0),
     via_b: Vec | None = None,
 ) -> Scenario:
@@ -220,11 +219,11 @@ def _two_site_scenario(
     return Scenario(
         name=name,
         source=source,
-        arms=(Arm(det_a, path_a, tau_s), Arm(det_b, path_b, tau_s)),
+        arms=(Arm(det_a, path_a, DEFAULT_TAU_S), Arm(det_b, path_b, DEFAULT_TAU_S)),
     )
 
 
-def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
+def preset(name: str) -> Scenario:
     """Return one of the built-in experiment geometries.
 
     ``gisin1999``        source midway between detectors 10.6 km apart
@@ -246,7 +245,6 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "source_midpoint",
             Site("detector_west", (-5300.0, 0.0, 0.0)),
             Site("detector_east", (5300.0, 0.0, 0.0)),
-            tau_s,
         )
     if name == "cao2017":
         # Flat 700 km estimate per arm; stations 1203 km apart on the ground.
@@ -256,7 +254,6 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "satellite",
             Site("ground_station_a", (-601.5e3, 0.0, 0.0)),
             Site("ground_station_b", (601.5e3, 0.0, 0.0)),
-            tau_s,
             source_pos=(0.0, y, 0.0),
         )
     if name == "earth_moon_case1":
@@ -265,7 +262,6 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "earth_source",
             Site("earth_station", (0.0, LOCAL_ARM_M, 0.0)),
             Site("moon_station", (d_moon, 0.0, 0.0)),
-            tau_s,
         )
     if name == "earth_moon_case2":
         # Retro-reflected beam: up to a lunar mirror and back to a receiver
@@ -275,7 +271,6 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "earth_source",
             Site("earth_station", (0.0, LOCAL_ARM_M, 0.0)),
             Site("earth_return_station", (0.0, 0.0, 0.0)),
-            tau_s,
             via_b=(d_moon, 0.0, 0.0),
         )
     if name == "earth_moon_case3":
@@ -284,7 +279,6 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "moon_source",
             Site("moon_station", (0.0, LOCAL_ARM_M, 0.0)),
             Site("earth_station", (d_moon, 0.0, 0.0)),
-            tau_s,
         )
     if name == "lagrange_l4l5":
         # Equilateral triangle of spacecraft, side LAGRANGE_ARM_M.
@@ -294,7 +288,6 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "source_spacecraft",
             Site("detector_spacecraft_a", (side, 0.0, 0.0)),
             Site("detector_spacecraft_b", (side / 2.0, side * math.sqrt(3.0) / 2.0, 0.0)),
-            tau_s,
         )
     if name == "mars":
         return _two_site_scenario(
@@ -302,14 +295,11 @@ def preset(name: str, tau_s: float = DEFAULT_TAU_S) -> Scenario:
             "mars_source",
             Site("mars_station", (0.0, LOCAL_ARM_M, 0.0)),
             Site("earth_station", (MARS_DISTANCE_M, 0.0, 0.0)),
-            tau_s,
         )
     raise UnknownPresetError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
-def symmetric_scenario(
-    arm_length_m: float, tau_s: float = DEFAULT_TAU_S, name: str = "symmetric"
-) -> Scenario:
+def symmetric_scenario(arm_length_m: float) -> Scenario:
     """Source midway between two detectors, both arms ``arm_length_m`` long.
 
     Equal arm lengths make the natural photon arrivals simultaneous, the
@@ -318,11 +308,10 @@ def symmetric_scenario(
     if not arm_length_m > 0.0:
         raise ValueError("arm_length_m must be > 0")
     return _two_site_scenario(
-        name,
+        "symmetric",
         "source_midpoint",
         Site("detector_a", (-arm_length_m, 0.0, 0.0)),
         Site("detector_b", (arm_length_m, 0.0, 0.0)),
-        tau_s,
     )
 
 
@@ -419,6 +408,8 @@ def load_scenario(document: str | dict) -> Scenario:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ScenarioError("not valid JSON: nested too deeply") from None
     return scenario_from_dict(document)
 
 

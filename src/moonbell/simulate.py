@@ -87,7 +87,6 @@ class CorrelationEstimate:
     (a',b'); ``stderr_s`` is sqrt(sum (1 - E^2)/n) over the four settings.
     """
 
-    settings: ChshSettings
     e_hat: tuple[float, float, float, float]
     counts: tuple[int, int, int, int]
     s_hat: float
@@ -101,8 +100,6 @@ class SimulationResult:
     estimate: CorrelationEstimate
     connected: bool
     timing: tuple[ArmTiming, ArmTiming]
-    n_pairs: int
-    seed: int
     records: tuple[PairRecord, ...] = ()
 
 
@@ -239,9 +236,7 @@ def _outcome_tables(
     return rows
 
 
-def _estimate_from_tallies(
-    settings: ChshSettings, counts: np.ndarray, prod_sums: np.ndarray
-) -> CorrelationEstimate:
+def _estimate_from_tallies(counts: np.ndarray, prod_sums: np.ndarray) -> CorrelationEstimate:
     import numpy as np
 
     e_hat = np.full(4, np.nan)
@@ -251,7 +246,6 @@ def _estimate_from_tallies(
     with np.errstate(divide="ignore", invalid="ignore"):
         stderr = float(np.sqrt(np.sum((1.0 - e_hat**2) / counts)))
     return CorrelationEstimate(
-        settings=settings,
         e_hat=tuple(float(x) for x in e_hat),
         counts=tuple(int(x) for x in counts),
         s_hat=float(s_hat),
@@ -318,11 +312,9 @@ def simulate(
     )
 
     return SimulationResult(
-        estimate=_estimate_from_tallies(settings, cells.sum(axis=1), cells @ _PRODUCTS),
+        estimate=_estimate_from_tallies(cells.sum(axis=1), cells @ _PRODUCTS),
         connected=is_connected,
         timing=scenario_timing(scenario),
-        n_pairs=n_pairs,
-        seed=seed,
         records=records,
     )
 

@@ -29,14 +29,14 @@ from moonbell import (
     lhv_correlation,
     pairs_for_significance,
     preset,
-    proper_time_factor,
+    proper_time_correction,
     quantum_correlation,
     simulate,
     speed_bound,
     sweep_speed,
     symmetric_scenario,
 )
-from moonbell.bounds import ProperTimeFactor, cadence_threshold
+from moonbell.bounds import cadence_threshold
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 S_QUANTUM = 2.0 * math.sqrt(2.0)
@@ -186,20 +186,18 @@ def test_criterion_07_lhv_ceiling():
 
 
 def test_criterion_08_proper_time():
-    earth = proper_time_factor(CONSTANTS.GM_earth, CONSTANTS.R_earth)
-    moon = proper_time_factor(CONSTANTS.GM_moon, CONSTANTS.R_moon)
-    assert earth.correction == pytest.approx(6.96e-10, rel=0.01)
-    assert moon.correction == pytest.approx(3.14e-11, rel=0.01)
-    published = cadence_threshold(
-        ProperTimeFactor.from_correction(0.08), ProperTimeFactor.from_correction(0.0031)
-    )
+    earth = proper_time_correction(CONSTANTS.GM_earth, CONSTANTS.R_earth)
+    moon = proper_time_correction(CONSTANTS.GM_moon, CONSTANTS.R_moon)
+    assert earth == pytest.approx(6.96e-10, rel=0.01)
+    assert moon == pytest.approx(3.14e-11, rel=0.01)
+    published = cadence_threshold(0.08, 0.0031)
     assert published == pytest.approx(12.5, rel=1e-12)
     cadence_claim = claim_by_id("cadence_threshold")
     assert cadence_claim.paper_value == 12.0
     assert cadence_claim.computed_value == pytest.approx(12.5, rel=1e-12)
     _announce(
         8,
-        f"corrections {earth.correction:.3g} / {moon.correction:.3g}; "
+        f"corrections {earth:.3g} / {moon:.3g}; "
         f"quoted inputs give 1/0.08 = {published} (printed as 12)",
     )
 
@@ -208,13 +206,13 @@ def test_criterion_09_link_budget():
     loss = geometric_loss_db(500e3, 384_400e3)
     assert loss == pytest.approx(57.72, abs=0.01)
 
-    plan = pairs_for_significance(S_QUANTUM, 3.0)
-    assert plan.pairs_per_setting == 27
+    per_setting = pairs_for_significance(S_QUANTUM, 3.0)
+    assert per_setting == 27
 
     rng = np.random.default_rng(90210)
     e_true = np.array([SQRT2_OVER_2, -SQRT2_OVER_2, SQRT2_OVER_2, SQRT2_OVER_2])
-    agrees = rng.binomial(plan.pairs_per_setting, (1 + e_true) / 2, size=(10_000, 4))
-    e_hat = (2.0 * agrees - plan.pairs_per_setting) / plan.pairs_per_setting
+    agrees = rng.binomial(per_setting, (1 + e_true) / 2, size=(10_000, 4))
+    e_hat = (2.0 * agrees - per_setting) / per_setting
     s_hat = e_hat[:, 0] - e_hat[:, 1] + e_hat[:, 2] + e_hat[:, 3]
     rejection = float(np.mean(s_hat > 2.0))
     assert rejection >= 0.99

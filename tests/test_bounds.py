@@ -7,7 +7,6 @@ from moonbell import (
     CONSTANTS,
     EARTH_MOON_WINDOW,
     ObservationWindow,
-    ProperTimeFactor,
     apriori_scales,
     cadence_threshold,
     classify_scale,
@@ -15,7 +14,7 @@ from moonbell import (
     kappa,
     mond_candidate,
     preset,
-    proper_time_factor,
+    proper_time_correction,
     scenario_from_dict,
     scenario_to_dict,
     speed_bound,
@@ -126,20 +125,18 @@ def test_gain_factor_reciprocal():
         )
 
 
-def test_proper_time_factor_earth_moon():
-    earth = proper_time_factor(CONSTANTS.GM_earth, CONSTANTS.R_earth)
-    moon = proper_time_factor(CONSTANTS.GM_moon, CONSTANTS.R_moon)
-    assert earth.correction == pytest.approx(6.961274586591855e-10, rel=1e-12)
-    assert moon.correction == pytest.approx(3.141132338039993e-11, rel=1e-12)
-    assert earth.alpha == pytest.approx(1.0 - earth.correction)
-    assert 0.0 < earth.alpha < 1.0
+def test_proper_time_correction_earth_moon():
+    earth = proper_time_correction(CONSTANTS.GM_earth, CONSTANTS.R_earth)
+    moon = proper_time_correction(CONSTANTS.GM_moon, CONSTANTS.R_moon)
+    assert earth == pytest.approx(6.961274586591855e-10, rel=1e-12)
+    assert moon == pytest.approx(3.141132338039993e-11, rel=1e-12)
+    assert 0.0 < 1.0 - earth < 1.0
 
 
 def test_proper_time_flat_limit():
-    f = proper_time_factor(1e-30, CONSTANTS.R_earth)
-    assert f.alpha == pytest.approx(1.0, abs=1e-15)
+    assert 1.0 - proper_time_correction(1e-30, CONSTANTS.R_earth) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        proper_time_factor(-1.0, 1.0)
+        proper_time_correction(-1.0, 1.0)
 
 
 def test_proper_time_monotonicity():
@@ -147,30 +144,24 @@ def test_proper_time_monotonicity():
     for _ in range(100):
         gm = rng.uniform(1e10, 1e18)
         r = rng.uniform(1e5, 1e8)
-        base = proper_time_factor(gm, r).correction
-        assert proper_time_factor(gm * 1.5, r).correction > base
-        assert proper_time_factor(gm, r * 1.5).correction < base
+        base = proper_time_correction(gm, r)
+        assert proper_time_correction(gm * 1.5, r) > base
+        assert proper_time_correction(gm, r * 1.5) < base
 
 
 def test_cadence_threshold():
-    published = cadence_threshold(
-        ProperTimeFactor.from_correction(0.08), ProperTimeFactor.from_correction(0.0031)
-    )
-    assert published == pytest.approx(12.5, rel=1e-12)
+    assert cadence_threshold(0.08, 0.0031) == pytest.approx(12.5, rel=1e-12)
     computed = cadence_threshold(
-        proper_time_factor(CONSTANTS.GM_earth, CONSTANTS.R_earth),
-        proper_time_factor(CONSTANTS.GM_moon, CONSTANTS.R_moon),
+        proper_time_correction(CONSTANTS.GM_earth, CONSTANTS.R_earth),
+        proper_time_correction(CONSTANTS.GM_moon, CONSTANTS.R_moon),
     )
     assert computed == pytest.approx(1.4365e9, rel=1e-3)
     x = 0.125
-    same = cadence_threshold(
-        ProperTimeFactor.from_correction(x), ProperTimeFactor.from_correction(x)
-    )
-    assert same == pytest.approx(1.0 / x, rel=1e-12)
+    assert cadence_threshold(x, x) == pytest.approx(1.0 / x, rel=1e-12)
     with pytest.raises(ValueError):
-        cadence_threshold(
-            ProperTimeFactor.from_correction(0.0), ProperTimeFactor.from_correction(0.0)
-        )
+        cadence_threshold(0.0, 0.0)
+    with pytest.raises(ValueError):
+        cadence_threshold(-0.08, 0.0031)
 
 
 def test_kappa_proton():
@@ -188,7 +179,7 @@ def test_apriori_base_case_excluded():
 
 
 def test_apriori_power_candidates():
-    rows = {r.n: r for r in apriori_scales([-1, 1], include_infinite_base=False)}
+    rows = {r.n: r for r in apriori_scales([-1, 1])[1:]}
     k = kappa()
     # N=+1 drops far below the Planck length: excluded.
     assert rows[1].d_m == pytest.approx(k * CONSTANTS.planck_length, rel=1e-12)

@@ -313,6 +313,12 @@ def _far_scenario(tmp_path):
     return str(path)
 
 
+def _deep_scenario(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
 _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "--pair-rate", "1")
 
 
@@ -354,6 +360,11 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
          2, "reference loss (--ref-loss-db) must be finite, got nan"),
         (lambda d: ("linkbudget", *_UNIT_LINK, "--ref-loss-db", "inf"),
          2, "reference loss (--ref-loss-db) must be finite, got inf"),
+        (lambda d: ("linkbudget", *_UNIT_LINK, "--ref-loss-db", "5000"),
+         2, "arm losses 5000.0 dB and 5000.0 dB; lower the reference loss (--ref-loss-db)"),
+        (lambda d: ("validate", _deep_scenario(d)), 2, "nested too deeply"),
+        (lambda d: ("bound", _deep_scenario(d)), 2, "nested too deeply"),
+        (lambda d: ("simulate", _deep_scenario(d)), 2, "nested too deeply"),
     ],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):

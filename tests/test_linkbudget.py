@@ -11,7 +11,6 @@ from moonbell import (
     budget_report,
     coincidence_rate,
     geometric_loss_db,
-    integration_time,
     pairs_for_significance,
 )
 
@@ -42,35 +41,33 @@ def test_geometric_loss_log_additive():
 
 
 def test_pairs_for_significance_reference_values():
-    plan = pairs_for_significance(2 * math.sqrt(2), 3.0)
-    assert plan.pairs_per_setting == 27
-    assert plan.total_pairs == 108
-    assert pairs_for_significance(2 * math.sqrt(2), 1.0).pairs_per_setting == 3
-    assert pairs_for_significance(2 * math.sqrt(2), 1e-9).pairs_per_setting == 1
+    assert pairs_for_significance(2 * math.sqrt(2), 3.0) == 27
+    assert pairs_for_significance(2 * math.sqrt(2), 1.0) == 3
+    assert pairs_for_significance(2 * math.sqrt(2), 1e-9) == 1
     with pytest.raises(ValueError):
         pairs_for_significance(2.0, 3.0)
 
 
 def test_pairs_for_significance_monotonicity():
     ks = [0.5, 1.0, 2.0, 3.0, 5.0]
-    ns = [pairs_for_significance(2.5, k).pairs_per_setting for k in ks]
+    ns = [pairs_for_significance(2.5, k) for k in ks]
     assert ns == sorted(ns)
     ss = [2.05, 2.2, 2.5, 2.8]
-    ns = [pairs_for_significance(s, 3.0).pairs_per_setting for s in ss]
+    ns = [pairs_for_significance(s, 3.0) for s in ss]
     assert ns == sorted(ns, reverse=True)
 
 
 def test_pairs_for_significance_below_tsirelson():
     # |E_i| = S/4 gives sum(1 - E_i^2) = 4 - 2.2**2/4 = 2.79, so 628 pairs,
     # where a fixed sum of 2 planned 450 (2.54 sigma).
-    assert pairs_for_significance(2.2, 3.0).pairs_per_setting == 628
+    assert pairs_for_significance(2.2, 3.0) == 628
     # The float 2.4 lies just below 12/5, so the exact count lies just above 144.
-    assert pairs_for_significance(2.4, 3.0).pairs_per_setting == 145
+    assert pairs_for_significance(2.4, 3.0) == 145
 
 
 @given(st.floats(2.0 + 1e-6, TSIRELSON_BOUND), st.floats(0.0, 100.0))
 def test_planned_pairs_reach_k_sigma_and_one_fewer_does_not(s, k):
-    n = pairs_for_significance(s, k).pairs_per_setting
+    n = pairs_for_significance(s, k)
     # The per-setting count at which simulate's stderr_s,
     # sqrt(sum(1 - E_i^2)/n) with |E_i| = s/4, puts s exactly k sigma above 2.
     # Computed exactly for these float inputs; the slack covers the plan's
@@ -85,7 +82,7 @@ def test_binomial_oracle_confirms_27_pairs_at_three_sigma():
     # Direct Monte Carlo of the full estimator: at n=27 per setting and a
     # true value of 2*sqrt(2), the sample estimate must exceed the classical
     # bound in at least 99% of replicates.
-    n = pairs_for_significance(2 * math.sqrt(2), 3.0).pairs_per_setting
+    n = pairs_for_significance(2 * math.sqrt(2), 3.0)
     rng = np.random.default_rng(2024)
     replicates = 10_000
     e_true = np.array([SQRT2_OVER_2, -SQRT2_OVER_2, SQRT2_OVER_2, SQRT2_OVER_2])
@@ -119,19 +116,26 @@ def test_coincidence_rate_multiplicative_in_loss():
         assert combined == pytest.approx(chained, rel=1e-9)
 
 
-def test_integration_time_values():
-    est = integration_time(1.0, 108)
-    assert est.time_s == pytest.approx(108.0)
-    assert not est.correction_applies  # 1 Hz is below the 12.5/s threshold
+def _unit_arm():
+    # Zero loss and unit efficiency: the coincidence rate is the pair rate.
+    return LinkSpec(length_m=1e3, reference_length_m=1e3, reference_loss_db=0.0)
 
-    est = integration_time(12.5, 108)
-    assert est.time_s == pytest.approx(8.64, rel=1e-12)
-    assert est.correction_applies
-    assert est.cadence_threshold_hz == pytest.approx(12.5, rel=1e-12)
 
-    assert integration_time(1e6, 1_000_000).time_s == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        integration_time(0.0, 10)
+def test_budget_report_integration_time_and_cadence_flag():
+    report = budget_report(_unit_arm(), _unit_arm(), pair_rate_hz=1.0)
+    assert report["pairs_required"] == 108
+    assert report["integration_time_s"] == pytest.approx(108.0)
+    assert not report["cadence_flag"]["correction_applies"]  # 1 Hz is below 12.5/s
+
+    report = budget_report(_unit_arm(), _unit_arm(), pair_rate_hz=12.5)
+    assert report["integration_time_s"] == pytest.approx(8.64, rel=1e-12)
+    assert report["cadence_flag"]["correction_applies"]  # the threshold itself counts
+    assert report["cadence_flag"]["threshold_hz"] == pytest.approx(12.5, rel=1e-12)
+
+    # At ~3,200 dB per arm the rate underflows to 0; the error names the flag.
+    lossy = LinkSpec(length_m=1e3, reference_length_m=1e3, reference_loss_db=5000.0)
+    with pytest.raises(ValueError, match="--ref-loss-db"):
+        budget_report(lossy, lossy, pair_rate_hz=1.0)
 
 
 def test_link_spec_validation():

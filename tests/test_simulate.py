@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from moonbell import (
     CONSTANTS,
     DEFAULT_SETTINGS,
+    Arm,
     ArmTiming,
     PRESET_NAMES,
     ChshSettings,
     CollapseModel,
+    Scenario,
+    Site,
+    TracePath,
     arm_length,
     connected,
     critical_speed,
@@ -22,6 +26,7 @@ from moonbell import (
     symmetric_scenario,
     with_equalized_starts,
 )
+from moonbell.constants import FS_PER_SECOND
 from moonbell.simulate import derive_seed
 
 C = CONSTANTS.c
@@ -101,6 +106,43 @@ def test_critical_speed_equalized_matches_bound_up_to_length_ratio():
         expected = bound.v_min_over_c * total / (2 * bound.l_max_m)
         v_star = critical_speed(with_equalized_starts(scen))
         assert v_star == pytest.approx(expected, rel=1e-3), name
+
+
+_ARM_DRAW = st.tuples(st.floats(0.0, 12.0), *[st.floats(-1.0, 1.0)] * 3)
+
+
+@given(
+    st.tuples(*[st.floats(-1e9, 1e9)] * 3),
+    st.tuples(_ARM_DRAW, _ARM_DRAW),
+    st.floats(-12.0, -3.0),
+)
+@hyp_settings(max_examples=200, deadline=None)
+def test_critical_speed_equalized_matches_bound_on_generated_geometries(source, arms, log_tau):
+    # The identity above on straight arms of 1 m to 1e12 m and a shared tau.
+    # Equalization leaves the starts gap_fs apart, so the event model's window
+    # is gap_fs plus tau rounded to fs: v* differs by at most (gap_fs + 1)/window.
+    tau = 10.0**log_tau
+    built = []
+    for i, (log_length, *direction) in enumerate(arms):
+        norm = math.hypot(*direction)
+        assume(norm > 0.1)
+        detector = tuple(x + 10.0**log_length * d / norm for x, d in zip(source, direction))
+        built.append(Arm(Site(f"detector_{i}", detector), TracePath((source, detector)), tau))
+    scen = with_equalized_starts(Scenario("generated", Site("source", source), tuple(built)))
+
+    first, second = sorted(scenario_timing(scen), key=lambda t: t.measure_start_fs)
+    gap_fs = second.measure_start_fs - first.measure_start_fs
+    window_fs = second.measure_end_fs - first.measure_start_fs
+    # The gap comes from three round() calls (0.5 fs each), the float-second
+    # subtraction in with_equalized_starts (half an ulp of the later arrival)
+    # and three products with 1e15 (each within 0.5625 of that ulp, in fs).
+    latest_s = max(arm.path.length_m / C for arm in scen.arms)
+    assert gap_fs <= 1.5 + 2.1875 * math.ulp(latest_s) * FS_PER_SECOND
+
+    bound = speed_bound(scen)
+    total = arm_length(scen, 0) + arm_length(scen, 1)
+    expected = bound.v_min_over_c * total / (2 * bound.l_max_m)
+    assert critical_speed(scen) == pytest.approx(expected, rel=(gap_fs + 1) / window_fs)
 
 
 def test_critical_speed_natural_timing_just_below_light_speed():

@@ -3,9 +3,12 @@
     python3 tools/bench_pairs.py --parent HEAD --workload cli_quick \
         --seeds 601-610 --seconds 30 --out BENCH_6.json
 
-The change is this checkout's working tree; the parent is a git revision,
-exported with ``git archive`` into a temporary directory. For each seed the
-two sides run ``bench/run.py`` from their own tree, one after the other, and
+The change is this checkout's working tree: its tracked files and its
+untracked files that git does not ignore. The parent is a git revision.
+Both sides are packed as tar archives (the parent with ``git archive``) and
+unpacked the same way into sibling temporary directories, so neither side
+runs from the checkout itself. For each seed the two sides run
+``bench/run.py`` from their own tree, one after the other, and
 the side that goes first alternates from seed to seed. Each side's runs are
 summarised per metric as median and quartiles, with the number of pairs in
 which the change did better. ``--out`` is merged by workload and trace mode,
@@ -32,12 +35,24 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def export(rev: str, into: Path) -> None:
-    archive = into / "parent.tar"
+def archive_parent(rev: str, archive: Path) -> None:
     with archive.open("wb") as fh:
         subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=fh)
+
+
+def archive_change(archive: Path) -> None:
+    """The working tree's tracked and untracked-but-not-ignored files, as a tar."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    with tarfile.open(archive, "w") as tar:
+        for name in sorted(set(names)):
+            if name and (ROOT / name).is_file():  # a deleted tracked file is skipped
+                tar.add(ROOT / name, arcname=name)
+
+
+def unpack(archive: Path, into: Path) -> Path:
     with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", filter="data")
+        tar.extractall(into, filter="data")
+    return into
 
 
 def src_digest(tree: Path) -> str:
@@ -85,8 +100,9 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["per_layer" if args.trace else "end_to_end"]
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        archive_parent(args.parent, Path(tmp) / "parent.tar")
+        archive_change(Path(tmp) / "change.tar")
+        trees = {side: unpack(Path(tmp) / f"{side}.tar", Path(tmp) / side) for side in ("parent", "change")}
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):

@@ -14,7 +14,7 @@ from moonbell import (
     DEFAULT_SETTINGS,
     chsh_value,
     lhv_correlation,
-    outcome_distribution,
+    outcome_probabilities,
     quantum_correlation,
 )
 
@@ -34,6 +34,6 @@ print("S (lhv)     =", chsh_value(lhv_correlation, DEFAULT_SETTINGS))
 # Monte Carlo samples from.
 print()
 for model in ("quantum", "lhv"):
-    d = outcome_distribution(model, 0.0, math.pi / 8)
-    print(f"{model:8s} p(++)={d.p_pp:.5f} p(+-)={d.p_pm:.5f} p(-+)={d.p_mp:.5f} p(--)={d.p_mm:.5f}"
-          f"   E={d.correlation():+.4f}")
+    p_pp, p_pm, p_mp, p_mm = outcome_probabilities(model, 0.0, math.pi / 8)
+    print(f"{model:8s} p(++)={p_pp:.5f} p(+-)={p_pm:.5f} p(-+)={p_mp:.5f} p(--)={p_mm:.5f}"
+          f"   E={p_pp + p_mm - p_pm - p_mp:+.4f}")

@@ -16,11 +16,10 @@ from .bell import (
     MODELS,
     TSIRELSON_BOUND,
     ChshSettings,
-    OutcomeDistribution,
     canonical_angle,
     chsh_value,
     lhv_correlation,
-    outcome_distribution,
+    outcome_probabilities,
     quantum_correlation,
 )
 from .bounds import (
@@ -89,7 +88,6 @@ _LAZY = {
         (
             "ArmTiming",
             "CollapseModel",
-            "CorrelationEstimate",
             "PairRecord",
             "SimulationResult",
             "SweepCurve",

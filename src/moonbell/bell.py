@@ -5,7 +5,8 @@ entangled photon pair, E(a, b) = cos 2(a - b), and a deterministic
 hidden-polarization model whose correlation is the sawtooth
 E = 1 - 4*delta/pi (delta = |a - b| folded into [0, pi/2]).  The sawtooth
 saturates the classical bound of 2 at the standard test angles, so it is the
-sharpest local-realistic fallback for simulations.
+sharpest local-realistic fallback for simulations.  Each model, and an
+uncorrelated one, has a joint outcome table (:func:`outcome_probabilities`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 CorrelationFn = Callable[[float, float], float]
 
-MODELS = ("quantum", "lhv")
+MODELS = ("quantum", "lhv", "uncorrelated")
 
 # Quantum and classical ceilings of the four-term combination.
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -84,47 +85,25 @@ def lhv_correlation(a: float, b: float) -> float:
     return 1.0 - 4.0 * _folded_delta(a, b) / math.pi
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Joint probabilities of the four outcome pairs (+1/-1 per arm)."""
+def outcome_probabilities(model: str, a: float, b: float) -> tuple[float, float, float, float]:
+    """Joint outcome probabilities (++, +-, -+, --) for one angle pair.
 
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self) -> None:
-        probs = self.probabilities()
-        if any(p < 0.0 for p in probs):
-            raise ValueError("outcome probabilities must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("outcome probabilities must sum to 1")
-
-    def probabilities(self) -> tuple[float, float, float, float]:
-        """In fixed order (++, +-, -+, --); matches outcome products (+1,-1,-1,+1)."""
-        return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-
-    def correlation(self) -> float:
-        """Expectation of the outcome product."""
-        return self.p_pp + self.p_mm - self.p_pm - self.p_mp
-
-
-def outcome_distribution(model: str, a: float, b: float) -> OutcomeDistribution:
-    """Joint outcome table for one angle pair under the named model.
-
-    Both tables have unbiased single-arm marginals (each outcome 1/2) and a
-    signed sum equal to the model's correlation function.
+    The order matches the outcome products (+1, -1, -1, +1).  Every model
+    has unbiased single-arm marginals (each outcome 1/2); its signed sum is
+    the model's correlation function, and 0 for ``"uncorrelated"``.
     """
     if model == "quantum":
         same = math.cos(a - b) ** 2 / 2.0
         diff = math.sin(a - b) ** 2 / 2.0
-        return OutcomeDistribution(same, diff, diff, same)
-    if model == "lhv":
+    elif model == "lhv":
         e = lhv_correlation(a, b)
         same = (1.0 + e) / 4.0
         diff = (1.0 - e) / 4.0
-        return OutcomeDistribution(same, diff, diff, same)
-    raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    elif model == "uncorrelated":
+        same = diff = 0.25
+    else:
+        raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    return (same, diff, diff, same)
 
 
 def chsh_value(correlation_fn: CorrelationFn, settings: ChshSettings = DEFAULT_SETTINGS) -> float:

@@ -243,12 +243,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
         workers=args.workers,
         trace_limit=args.trace,
     )
-    est = result.estimate
     results = {
-        "s_hat": est.s_hat,
-        "stderr_s": est.stderr_s,
-        "e_hat": list(est.e_hat),
-        "counts": list(est.counts),
+        "s_hat": result.s_hat,
+        "stderr_s": result.stderr_s,
+        "e_hat": list(result.e_hat),
+        "counts": list(result.counts),
         "connected": result.connected,
         "fraction_connected": float(result.connected),
         "critical_v_over_c": critical_speed(scenario, args.depart_at_end),
@@ -269,8 +268,12 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
+    from .simulate import MAX_POINTS
+
     if points < 1:
         raise ValueError("--points must be >= 1")
+    if points > MAX_POINTS:
+        raise ValueError(f"--points must be at most {MAX_POINTS}, got {points}")
     if not v_min > 0.0:
         raise ValueError("--v-min must be > 0")
     if points == 1:
@@ -304,7 +307,6 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
         v_grid=grid,
         n_pairs_per_point=args.pairs,
         seed=args.seed,
-        workers=args.workers,
         depart_at_end=args.depart_at_end,
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -125,16 +125,30 @@ def budget_report(
     )
     per_setting = pairs_for_significance(s_expected, k_sigma)
     if not rate > 0.0:
+        ref_loss = " and ".join(
+            f"{x!r} dB" for x in sorted({arm_a.reference_loss_db, arm_b.reference_loss_db})
+        )
         raise ValueError(
-            f"coincidence rate underflows to 0 with arm losses {loss_a!r} dB and {loss_b!r} dB;"
-            " lower the reference loss (--ref-loss-db)"
+            f"coincidence rate underflows to 0 from --pair-rate {pair_rate_hz!r} Hz, --eff-a "
+            f"{arm_a.detector_efficiency!r} and --eff-b {arm_b.detector_efficiency!r} after arm "
+            f"losses {loss_a!r} dB and {loss_b!r} dB; lower the reference loss (--ref-loss-db), "
+            f"now {ref_loss}, or raise the pair rate or the efficiencies"
+        )
+    try:
+        integration_s = 4 * per_setting / rate
+    except OverflowError:  # a pair count beyond the float range
+        integration_s = math.inf
+    if integration_s == math.inf:
+        raise ValueError(
+            f"integration time overflows at {rate!r} coincidences/s; raise the pair rate "
+            f"(--pair-rate, {pair_rate_hz!r} Hz) or lower k_sigma (--k-sigma, {k_sigma!r})"
         )
     return {
         "losses_db": {"arm_a": loss_a, "arm_b": loss_b},
         "coincidence_rate": rate,
         "pairs_required": 4 * per_setting,
         "pairs_per_setting": per_setting,
-        "integration_time_s": 4 * per_setting / rate,
+        "integration_time_s": integration_s,
         "cadence_flag": {
             "threshold_hz": PUBLISHED_CADENCE_THRESHOLD_HZ,
             "correction_applies": rate >= PUBLISHED_CADENCE_THRESHOLD_HZ,

@@ -20,14 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .bell import ChshSettings, outcome_distribution
+from .bell import ChshSettings, outcome_probabilities
 from .constants import CONSTANTS, FS_PER_SECOND
 from .scenario import Scenario, arm_length
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FALLBACKS = ("uncorrelated", "lhv")
 
@@ -40,6 +36,8 @@ _SEED_MASK = (1 << 64) - 1
 
 # Most pairs one run may trace; each traced pair is drawn and kept one by one.
 MAX_TRACE = 100_000
+# Most speeds one sweep may take; each costs a run and a CSV row.
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,24 +78,18 @@ class PairRecord:
 
 
 @dataclass(frozen=True)
-class CorrelationEstimate:
-    """Per-setting correlation estimates and their Bell combination.
+class SimulationResult:
+    """One run: every pair shares ``timing`` (emitted at 0 fs) and ``connected``.
 
     ``e_hat``/``counts`` follow the setting order (a,b), (a,b'), (a',b),
-    (a',b'); ``stderr_s`` is sqrt(sum (1 - E^2)/n) over the four settings.
+    (a',b'); ``s_hat`` is their Bell combination and ``stderr_s`` is
+    sqrt(sum (1 - E^2)/n) over the four settings.
     """
 
     e_hat: tuple[float, float, float, float]
     counts: tuple[int, int, int, int]
     s_hat: float
     stderr_s: float
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """One run: every pair shares ``timing`` (emitted at 0 fs) and ``connected``."""
-
-    estimate: CorrelationEstimate
     connected: bool
     timing: tuple[ArmTiming, ArmTiming]
     records: tuple[PairRecord, ...] = ()
@@ -219,40 +211,6 @@ def derive_seed(seed: int, index: int) -> int:
     return int(state[0])
 
 
-def _outcome_tables(
-    settings: ChshSettings, is_connected: bool, fallback: str
-) -> list[tuple[float, float, float, float]]:
-    """Joint outcome probabilities, one row per setting combination (4 x 4)."""
-    rows = []
-    for a, b in settings.pairs():
-        if is_connected:
-            dist = outcome_distribution("quantum", a, b)
-            rows.append(dist.probabilities())
-        elif fallback == "lhv":
-            dist = outcome_distribution("lhv", a, b)
-            rows.append(dist.probabilities())
-        else:
-            rows.append((0.25, 0.25, 0.25, 0.25))
-    return rows
-
-
-def _estimate_from_tallies(counts: np.ndarray, prod_sums: np.ndarray) -> CorrelationEstimate:
-    import numpy as np
-
-    e_hat = np.full(4, np.nan)
-    nonzero = counts > 0
-    e_hat[nonzero] = prod_sums[nonzero] / counts[nonzero]
-    s_hat = e_hat[0] - e_hat[1] + e_hat[2] + e_hat[3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stderr = float(np.sqrt(np.sum((1.0 - e_hat**2) / counts)))
-    return CorrelationEstimate(
-        e_hat=tuple(float(x) for x in e_hat),
-        counts=tuple(int(x) for x in counts),
-        s_hat=float(s_hat),
-        stderr_s=stderr,
-    )
-
-
 def simulate(
     scenario: Scenario,
     model: CollapseModel,
@@ -290,14 +248,20 @@ def simulate(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
+    timing = scenario_timing(scenario)
+    lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
+    is_connected = model.v_over_c >= _threshold(timing, lengths, model.depart_at_end)
 
     # numpy is imported here, not at module scope, so the commands that never
     # sample (bound, presets, linkbudget, scales, validate) do not load it.
     import numpy as np
 
     # Cell 4*s + o: setting combination s (probability 1/4) and outcome o.
-    tables = np.array(_outcome_tables(settings, is_connected, model.fallback), dtype=np.float64)
+    angle_pairs = settings.pairs()
+    row_model = "quantum" if is_connected else model.fallback
+    tables = np.array(
+        [outcome_probabilities(row_model, a, b) for a, b in angle_pairs], dtype=np.float64
+    )
     p = tables.ravel() / 4.0
     rng = np.random.Generator(np.random.Philox(seed & _SEED_MASK))
     n_rec = min(trace_limit, n_pairs)
@@ -305,16 +269,27 @@ def simulate(
     tally = np.bincount(traced, minlength=16) + rng.multinomial(n_pairs - n_rec, p)
     cells = tally.reshape(4, 4)
 
-    angle_pairs = settings.pairs()
     records = tuple(
         PairRecord(settings=angle_pairs[int(c) // 4], outcomes=_OUTCOMES[int(c) % 4])
         for c in traced
     )
 
+    counts = cells.sum(axis=1)
+    prod_sums = cells @ _PRODUCTS
+    e_hat = np.full(4, np.nan)
+    nonzero = counts > 0
+    e_hat[nonzero] = prod_sums[nonzero] / counts[nonzero]
+    s_hat = e_hat[0] - e_hat[1] + e_hat[2] + e_hat[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stderr = float(np.sqrt(np.sum((1.0 - e_hat**2) / counts)))
+
     return SimulationResult(
-        estimate=_estimate_from_tallies(cells.sum(axis=1), cells @ _PRODUCTS),
+        e_hat=tuple(float(x) for x in e_hat),
+        counts=tuple(int(x) for x in counts),
+        s_hat=float(s_hat),
+        stderr_s=stderr,
         connected=is_connected,
-        timing=scenario_timing(scenario),
+        timing=timing,
         records=records,
     )
 
@@ -326,14 +301,11 @@ def sweep_speed(
     v_grid: list[float],
     n_pairs_per_point: int,
     seed: int,
-    workers: int = 1,
     depart_at_end: bool = False,
 ) -> SweepCurve:
     """One simulation per grid speed, with independent per-point sub-seeds.
 
-    Sub-seeds come from ``SeedSequence`` over (seed, point index); like
-    :func:`simulate`, ``workers`` changes neither the output nor the process
-    count.
+    Sub-seeds come from ``SeedSequence`` over (seed, point index).
     """
     grid = [float(v) for v in v_grid]
     if len(grid) == 0:
@@ -343,14 +315,12 @@ def sweep_speed(
     points = []
     for i, v in enumerate(grid):
         model = CollapseModel(v_over_c=v, fallback=fallback, depart_at_end=depart_at_end)
-        result = simulate(
-            scenario, model, settings, n_pairs_per_point, derive_seed(seed, i), workers=workers
-        )
+        result = simulate(scenario, model, settings, n_pairs_per_point, derive_seed(seed, i))
         points.append(
             SweepPoint(
                 v_over_c=v,
-                s_hat=result.estimate.s_hat,
-                stderr_s=result.estimate.stderr_s,
+                s_hat=result.s_hat,
+                stderr_s=result.stderr_s,
                 n_pairs=n_pairs_per_point,
                 connected=result.connected,
             )

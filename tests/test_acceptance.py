@@ -106,9 +106,9 @@ def test_criterion_04_monte_carlo_convergence():
     )
     first = run()
     elapsed = time.monotonic() - start
-    est = first.estimate
+    est = first
     assert abs(est.s_hat - S_QUANTUM) <= 5 * est.stderr_s
-    assert run().estimate == est  # fixed seed -> deterministic
+    assert run() == est  # fixed seed -> deterministic
     assert elapsed <= 20.0
     _announce(
         4,
@@ -175,7 +175,7 @@ def test_criterion_07_lhv_ceiling():
         n_pairs=200_000,
         seed=7,
     )
-    est = result.estimate
+    est = result
     assert not result.connected
     assert est.s_hat <= 2.0 + 5 * est.stderr_s
     _announce(

@@ -12,7 +12,7 @@ from moonbell import (
     canonical_angle,
     chsh_value,
     lhv_correlation,
-    outcome_distribution,
+    outcome_probabilities,
     quantum_correlation,
 )
 
@@ -54,24 +54,25 @@ def test_lhv_correlation_values():
     assert lhv_correlation(0.0, 3 * math.pi / 8) == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_outcome_distribution_quantum():
-    d = outcome_distribution("quantum", 0.0, 0.0)
-    assert d.probabilities() == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-15)
-    d = outcome_distribution("quantum", 0.0, math.pi / 8)
-    assert d.p_pp == pytest.approx(0.42677669529663687, abs=1e-12)
-    assert d.p_pm == pytest.approx(0.07322330470336312, abs=1e-12)
-    assert d.p_mp == pytest.approx(0.07322330470336312, abs=1e-12)
-    assert d.p_mm == pytest.approx(0.42677669529663687, abs=1e-12)
+def test_outcome_probabilities_quantum():
+    p = outcome_probabilities("quantum", 0.0, 0.0)
+    assert p == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-15)
+    p = outcome_probabilities("quantum", 0.0, math.pi / 8)
+    assert p == pytest.approx(
+        (0.42677669529663687, 0.07322330470336312, 0.07322330470336312, 0.42677669529663687),
+        abs=1e-12,
+    )
 
 
-def test_outcome_distribution_lhv():
-    d = outcome_distribution("lhv", 0.0, math.pi / 8)
-    assert d.probabilities() == pytest.approx((0.375, 0.125, 0.125, 0.375), abs=1e-12)
+def test_outcome_probabilities_lhv_and_uncorrelated():
+    p = outcome_probabilities("lhv", 0.0, math.pi / 8)
+    assert p == pytest.approx((0.375, 0.125, 0.125, 0.375), abs=1e-12)
+    assert outcome_probabilities("uncorrelated", 0.0, math.pi / 8) == (0.25, 0.25, 0.25, 0.25)
 
 
-def test_outcome_distribution_unknown_model():
+def test_outcome_probabilities_unknown_model():
     with pytest.raises(ValueError):
-        outcome_distribution("psychic", 0.0, 0.0)
+        outcome_probabilities("psychic", 0.0, 0.0)
 
 
 def test_chsh_quantum_default():
@@ -122,11 +123,18 @@ def test_quantum_respects_tsirelson_bound():
 def test_marginals_unbiased_and_signed_sum_consistent():
     rng = np.random.default_rng(31)
     for a, b in rng.uniform(0, math.pi, size=(500, 2)):
-        for model, fn in (("quantum", quantum_correlation), ("lhv", lhv_correlation)):
-            d = outcome_distribution(model, a, b)
-            assert d.p_pp + d.p_pm == pytest.approx(0.5, abs=1e-12)
-            assert d.p_mp + d.p_mm == pytest.approx(0.5, abs=1e-12)
-            assert d.correlation() == pytest.approx(fn(a, b), abs=1e-12)
+        models = (
+            ("quantum", quantum_correlation),
+            ("lhv", lhv_correlation),
+            ("uncorrelated", lambda a, b: 0.0),
+        )
+        for model, fn in models:
+            p_pp, p_pm, p_mp, p_mm = outcome_probabilities(model, a, b)
+            assert min(p_pp, p_pm, p_mp, p_mm) >= 0.0
+            assert abs(p_pp + p_pm + p_mp + p_mm - 1.0) <= 1e-12
+            assert p_pp + p_pm == pytest.approx(0.5, abs=1e-12)
+            assert p_mp + p_mm == pytest.approx(0.5, abs=1e-12)
+            assert p_pp + p_mm - p_pm - p_mp == pytest.approx(fn(a, b), abs=1e-12)
 
 
 @given(st.floats(-100.0, 100.0))

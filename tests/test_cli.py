@@ -16,6 +16,7 @@ REPORT_SCHEMA = json.loads((REPO / "docs" / "run_report_schema.json").read_text(
 
 
 def run_cli(*args, check=False):
+    """One CLI process; the JSON report of every exit 0 is checked against the schema."""
     proc = subprocess.run(
         [sys.executable, "-m", "moonbell", *args],
         capture_output=True,
@@ -23,13 +24,14 @@ def run_cli(*args, check=False):
     )
     if check:
         assert proc.returncode == 0, proc.stderr
+    # csv starts with its "key,value" header and text with "command: ".
+    if proc.returncode == 0 and proc.stdout.startswith("{"):
+        jsonschema.validate(json.loads(proc.stdout), REPORT_SCHEMA)
     return proc
 
 
 def report_of(proc):
-    report = json.loads(proc.stdout)
-    jsonschema.validate(report, REPORT_SCHEMA)
-    return report
+    return json.loads(proc.stdout)
 
 
 def test_bound_earth_moon_case3():
@@ -273,9 +275,9 @@ def test_worker_env_var_never_changes_output(tmp_path):
         "--seed", "8",
     ]
     out1, out2 = tmp_path / "plain.csv", tmp_path / "env.csv"
-    subprocess.run([*args, "--out", str(out1)], check=True, capture_output=True)
-    env = dict(os.environ, MOONBELL_WORKERS="3")
-    subprocess.run([*args, "--out", str(out2)], check=True, capture_output=True, env=env)
+    for out, env in ((out1, None), (out2, dict(os.environ, MOONBELL_WORKERS="3"))):
+        proc = subprocess.run([*args, "--out", str(out)], check=True, capture_output=True, env=env)
+        jsonschema.validate(json.loads(proc.stdout), REPORT_SCHEMA)
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -362,6 +364,14 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
          2, "reference loss (--ref-loss-db) must be finite, got inf"),
         (lambda d: ("linkbudget", *_UNIT_LINK, "--ref-loss-db", "5000"),
          2, "arm losses 5000.0 dB and 5000.0 dB; lower the reference loss (--ref-loss-db)"),
+        (lambda d: ("linkbudget", "--length-a", "500km", "--length-b", "500km", "--pair-rate", "1",
+                    "--eff-a", "1e-200", "--eff-b", "1e-200"),
+         2, "--pair-rate 1.0 Hz, --eff-a 1e-200 and --eff-b 1e-200 after arm losses 0.0 dB and "
+            "0.0 dB; lower the reference loss (--ref-loss-db), now 0.0 dB"),
+        (lambda d: ("linkbudget", "--length-a", "500km", "--length-b", "500km",
+                    "--pair-rate", "1e-320"), 2, "(--pair-rate, 1e-320 Hz)"),
+        (lambda d: ("sweep", "gisin1999", "--v-min", "1", "--v-max", "2", "--points", "100000000",
+                    "-n", "4", "--out", str(d / "big.csv")), 2, "--points must be at most 100000"),
         (lambda d: ("validate", _deep_scenario(d)), 2, "nested too deeply"),
         (lambda d: ("bound", _deep_scenario(d)), 2, "nested too deeply"),
         (lambda d: ("simulate", _deep_scenario(d)), 2, "nested too deeply"),
@@ -500,6 +510,8 @@ def test_linkbudget_arm_shorter_than_reference_names_it(arm, lengths):
           "--pair-rate", "1", "--k-sigma", "1e200"), "k_sigma"),
         (("linkbudget", "--length-a", "1km", "--length-b", "1km", "--ref-length", "1km",
           "--pair-rate", "1", "--k-sigma", "inf"), "k_sigma"),
+        (("linkbudget", "--length-a", "1km", "--length-b", "1km", "--ref-length", "1km",
+          "--pair-rate", "1", "--k-sigma", "6e153"), "(--k-sigma, 6e+153)"),
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, needle):

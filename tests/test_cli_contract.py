@@ -2,14 +2,17 @@
 
 Any argv a user can type, and any scenario document they can write, must end
 in exit 0 (success), 2 (validation), 3 (unknown preset/reference) or 4 (I/O),
-never in an uncaught exception.  Everything runs in-process: no subprocess
+never in an uncaught exception, and every JSON report of an exit 0 must match
+``docs/run_report_schema.json``.  Everything runs in-process: no subprocess
 and no worker process is started.
 """
 
 import contextlib
 import io
 import json
+import pathlib
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
@@ -17,6 +20,12 @@ from moonbell import PRESET_NAMES, preset, scenario_to_dict
 from moonbell import cli
 
 CONTRACT = {0, 2, 3, 4}
+
+_REPORT_SCHEMA = jsonschema.Draft202012Validator(
+    json.loads(
+        (pathlib.Path(__file__).resolve().parents[1] / "docs" / "run_report_schema.json").read_text()
+    )
+)
 
 _SETTINGS = hyp_settings(
     max_examples=100,
@@ -144,13 +153,16 @@ def _argv(tmp_path, command):
 
 
 def _run(argv):
-    """(exit code, stderr) of one in-process CLI call."""
+    """(exit code, stderr) of one in-process CLI call; a JSON report is schema-checked."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors, --help, --version
             code = exc.code
+    # csv starts with its "key,value" header and text with "command: ".
+    if code == 0 and out.getvalue().startswith("{"):
+        _REPORT_SCHEMA.validate(json.loads(out.getvalue()))
     return code, err.getvalue()
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,12 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+# Each demo's stdout, one list entry per line. Every demo is seeded, so its
+# output is byte-stable.
+_PINNED_STDOUT = json.loads((REPO / "tests" / "pinned_demos.json").read_text(encoding="utf-8"))
+# Demo 03 adds this line when matplotlib is installed; the pins were taken without it.
+_FIGURE_LINE = "wrote sweep_earth_moon.png\n"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -24,3 +31,5 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    stdout = proc.stdout.replace(_FIGURE_LINE, "")
+    assert stdout == "".join(line + "\n" for line in _PINNED_STDOUT[demo.name])

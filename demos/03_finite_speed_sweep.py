@@ -23,7 +23,7 @@ v_star = critical_speed(scenario)
 print(f"critical speed: {v_star:.4g} c")
 
 grid = list(np.logspace(10, 13, 16))
-curve = sweep_speed(
+points = sweep_speed(
     scenario,
     fallback="lhv",
     settings=DEFAULT_SETTINGS,
@@ -33,11 +33,12 @@ curve = sweep_speed(
 )
 
 print(f"\n{'v/c':>12s} {'S_hat':>8s} {'stderr':>8s}  connected")
-for p in curve.points:
+for p in points:
     marker = "yes" if p.connected else "no"
     print(f"{p.v_over_c:12.4g} {p.s_hat:8.4f} {p.stderr_s:8.4f}  {marker}")
 
-below, above = curve.transition_bracket()
+below = max(p.v_over_c for p in points if not p.connected)
+above = min(p.v_over_c for p in points if p.connected)
 print(f"\ntransition bracket: ({below:.4g}, {above:.4g}]  contains v* = {v_star:.4g}")
 
 # Optional picture when matplotlib is around.
@@ -51,9 +52,9 @@ except ImportError:
 
 if plt is not None:
     fig, ax = plt.subplots(figsize=(6, 4))
-    v = [p.v_over_c for p in curve.points]
-    s = [p.s_hat for p in curve.points]
-    err = [5 * p.stderr_s for p in curve.points]
+    v = [p.v_over_c for p in points]
+    s = [p.s_hat for p in points]
+    err = [5 * p.stderr_s for p in points]
     ax.errorbar(v, s, yerr=err, fmt="o-", capsize=3, label="simulated S")
     ax.axhline(2.0, color="grey", ls="--", lw=1, label="classical bound")
     ax.axhline(2 * np.sqrt(2), color="green", ls=":", lw=1, label="quantum value")

@@ -90,9 +90,7 @@ _LAZY = {
             "CollapseModel",
             "PairRecord",
             "SimulationResult",
-            "SweepCurve",
             "SweepPoint",
-            "connected",
             "critical_speed",
             "derive_seed",
             "scenario_timing",

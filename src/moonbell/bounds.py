@@ -45,7 +45,7 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     L_0 + L_1 within its femtosecond window instead.
     """
     if tau_override_s is not None and not tau_override_s > 0.0:
-        raise ValueError("tau override must be > 0")
+        raise ValueError(f"tau override (--tau) must be > 0, got {tau_override_s!r} s")
     tau = tau_override_s if tau_override_s is not None else max(a.tau_s for a in scenario.arms)
     l_max = max(arm_length(scenario, 0), arm_length(scenario, 1))
     v_min_over_c = 2.0 * l_max / (tau * CONSTANTS.c)
@@ -107,6 +107,8 @@ class ObservationWindow:
     def __post_init__(self) -> None:
         if not self.d_min_m < self.d_max_m:
             raise ValueError("window requires d_min < d_max")
+        if not self.d_min_m >= 0.0:
+            raise ValueError(f"window floor (--d-min) must be >= 0 m, got {self.d_min_m!r}")
 
 
 # What an Earth-Moon experiment can see: roughly centimetres up to ten times

@@ -267,9 +267,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     return inputs, results
 
 
-def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
-    from .simulate import MAX_POINTS
+# Most speeds one sweep may take; each costs a run and a CSV row.
+MAX_POINTS = 100_000
 
+
+def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
     if points < 1:
         raise ValueError("--points must be >= 1")
     if points > MAX_POINTS:
@@ -300,7 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
     _bind("sweep_speed", "critical_speed")
     scenario, settings, inputs = _resolve_run(args)
     grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
-    curve = sweep_speed(
+    points = sweep_speed(
         scenario,
         fallback=args.fallback,
         settings=settings,
@@ -309,9 +311,15 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
         seed=args.seed,
         depart_at_end=args.depart_at_end,
     )
+    # Full-precision floats, so the file is byte-stable for fixed inputs.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(curve.to_csv())
-    below, above = curve.transition_bracket()
+        fh.write("v_over_c,S_hat,stderr_S,n_pairs,fraction_connected\n")
+        for p in points:
+            fh.write(f"{p.v_over_c!r},{p.s_hat!r},{p.stderr_s!r},{args.pairs},{float(p.connected)!r}\n")
+    # The verdict is monotone in v, so these are the last disconnected and
+    # the first connected grid speeds; None when the grid is one-sided.
+    below = max((p.v_over_c for p in points if not p.connected), default=None)
+    above = min((p.v_over_c for p in points if p.connected), default=None)
     v_star = critical_speed(scenario, args.depart_at_end)
     inputs.update(
         v_min=args.v_min,
@@ -323,7 +331,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
     )
     return inputs, {
         "csv_path": args.out,
-        "rows": len(curve.points),
+        "rows": len(points),
         "critical_v_over_c": v_star,
         "transition_bracket": {"below": below, "above": above},
         "bracket_contains_critical": (below is None or below < v_star) and (above is None or v_star <= above),

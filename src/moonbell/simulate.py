@@ -36,8 +36,6 @@ _SEED_MASK = (1 << 64) - 1
 
 # Most pairs one run may trace; each traced pair is drawn and kept one by one.
 MAX_TRACE = 100_000
-# Most speeds one sweep may take; each costs a run and a CSV row.
-MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class CollapseModel:
 
     def __post_init__(self) -> None:
         if not self.v_over_c > 0.0:
-            raise ValueError("v_over_c must be > 0 (use math.inf for instantaneous)")
+            raise ValueError(f"v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got {self.v_over_c!r}")
         if self.fallback not in FALLBACKS:
             raise ValueError(f"fallback must be one of {FALLBACKS}")
 
@@ -100,33 +98,7 @@ class SweepPoint:
     v_over_c: float
     s_hat: float
     stderr_s: float
-    n_pairs: int
     connected: bool
-
-
-@dataclass(frozen=True)
-class SweepCurve:
-    points: tuple[SweepPoint, ...]
-
-    def to_csv(self) -> str:
-        """CSV with full-precision floats; byte-stable for fixed inputs."""
-        lines = ["v_over_c,S_hat,stderr_S,n_pairs,fraction_connected"]
-        for p in self.points:
-            lines.append(
-                f"{p.v_over_c!r},{p.s_hat!r},{p.stderr_s!r},{p.n_pairs},{float(p.connected)!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def transition_bracket(self) -> tuple[float | None, float | None]:
-        """(largest disconnected v, smallest connected v); None when one-sided."""
-        below = None
-        above = None
-        for p in self.points:
-            if not p.connected:
-                below = p.v_over_c
-            elif above is None:
-                above = p.v_over_c
-        return (below, above)
 
 
 def _to_fs(seconds: float) -> int:
@@ -168,25 +140,6 @@ def _threshold(
     while not total_m * FS_PER_SECOND <= v * (CONSTANTS.c * window_fs):
         v = math.nextafter(v, math.inf)
     return v
-
-
-def connected(
-    timing: tuple[ArmTiming, ArmTiming],
-    lengths_m: tuple[float, float],
-    v_over_c: float,
-    depart_at_end: bool = False,
-) -> bool:
-    """True when the influence reaches the partner before its measurement ends.
-
-    The influence covers the full trace of both arms (L_first + L_second,
-    back through the source); the straight detector-to-detector distance is
-    never used.  Exactly ``v_over_c >= critical_speed`` on the same timeline.
-    """
-    if not (lengths_m[0] > 0.0 and lengths_m[1] > 0.0):
-        raise ValueError("arm lengths must be > 0")
-    if not v_over_c > 0.0:
-        raise ValueError("v_over_c must be > 0")
-    return v_over_c >= _threshold(timing, lengths_m, depart_at_end)
 
 
 def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
@@ -302,10 +255,10 @@ def sweep_speed(
     n_pairs_per_point: int,
     seed: int,
     depart_at_end: bool = False,
-) -> SweepCurve:
-    """One simulation per grid speed, with independent per-point sub-seeds.
+) -> tuple[SweepPoint, ...]:
+    """One simulated point per grid speed, in grid order.
 
-    Sub-seeds come from ``SeedSequence`` over (seed, point index).
+    Each point has its own sub-seed, from ``SeedSequence`` over (seed, point index).
     """
     grid = [float(v) for v in v_grid]
     if len(grid) == 0:
@@ -316,13 +269,5 @@ def sweep_speed(
     for i, v in enumerate(grid):
         model = CollapseModel(v_over_c=v, fallback=fallback, depart_at_end=depart_at_end)
         result = simulate(scenario, model, settings, n_pairs_per_point, derive_seed(seed, i))
-        points.append(
-            SweepPoint(
-                v_over_c=v,
-                s_hat=result.s_hat,
-                stderr_s=result.stderr_s,
-                n_pairs=n_pairs_per_point,
-                connected=result.connected,
-            )
-        )
-    return SweepCurve(points=tuple(points))
+        points.append(SweepPoint(v, result.s_hat, result.stderr_s, result.connected))
+    return tuple(points)

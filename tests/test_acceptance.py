@@ -122,7 +122,7 @@ def test_criterion_05_threshold_behavior():
     v_star = critical_speed(scen)
     assert v_star == pytest.approx(5.13e11, rel=5e-3)
     grid = list(np.logspace(10, 13, 20))
-    curve = sweep_speed(
+    points = sweep_speed(
         scen,
         fallback="lhv",
         settings=DEFAULT_SETTINGS,
@@ -130,14 +130,15 @@ def test_criterion_05_threshold_behavior():
         n_pairs_per_point=20_000,
         seed=99,
     )
-    for p in curve.points:
+    for p in points:
         if p.v_over_c >= v_star:
             assert p.connected
             assert abs(p.s_hat - S_QUANTUM) <= 5 * p.stderr_s
         else:
             assert not p.connected
             assert p.s_hat <= 2.0 + 5 * p.stderr_s
-    below, above = curve.transition_bracket()
+    below = max(p.v_over_c for p in points if not p.connected)
+    above = min(p.v_over_c for p in points if p.connected)
     assert below < v_star <= above
     _announce(5, f"v*={v_star:.4g}, bracket ({below:.3g}, {above:.3g}] contains it exactly")
 

@@ -221,3 +221,6 @@ def test_classification_total_and_deterministic():
 def test_window_validation():
     with pytest.raises(ValueError):
         ObservationWindow(1.0, 1.0)
+    with pytest.raises(ValueError, match="must be >= 0 m, got -1.0"):
+        ObservationWindow(-1.0, 0.0)
+    assert ObservationWindow(0.0, math.inf).d_min_m == 0.0

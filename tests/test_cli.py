@@ -274,11 +274,15 @@ def test_worker_env_var_never_changes_output(tmp_path):
         "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "2000",
         "--seed", "8",
     ]
-    out1, out2 = tmp_path / "plain.csv", tmp_path / "env.csv"
-    for out, env in ((out1, None), (out2, dict(os.environ, MOONBELL_WORKERS="3"))):
+    # Both runs write the same path, so the reports (which echo inputs.workers)
+    # must match byte for byte along with the CSVs.
+    out = tmp_path / "sweep.csv"
+    runs = []
+    for env in (None, dict(os.environ, MOONBELL_WORKERS="3")):
         proc = subprocess.run([*args, "--out", str(out)], check=True, capture_output=True, env=env)
         jsonschema.validate(json.loads(proc.stdout), REPORT_SCHEMA)
-    assert out1.read_bytes() == out2.read_bytes()
+        runs.append((proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_discrepancy_ledger_byte_stable():
@@ -375,6 +379,16 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
         (lambda d: ("validate", _deep_scenario(d)), 2, "nested too deeply"),
         (lambda d: ("bound", _deep_scenario(d)), 2, "nested too deeply"),
         (lambda d: ("simulate", _deep_scenario(d)), 2, "nested too deeply"),
+        (lambda d: ("scales", "--d-min=-1", "--d-max", "0"),
+         2, "window floor (--d-min) must be >= 0 m, got -1.0"),
+        (lambda d: ("scales", "--d-min=-inf"), 2, "window floor (--d-min) must be >= 0 m, got -inf"),
+        (lambda d: ("bound", "gisin1999", "--tau", "nan"),
+         2, "tau override (--tau) must be > 0, got nan s"),
+        (lambda d: ("bound", "gisin1999", "--tau", "0"), 2, "tau override (--tau) must be > 0, got 0.0 s"),
+        (lambda d: ("simulate", "gisin1999", "--v-over-c", "nan"),
+         2, "v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got nan"),
+        (lambda d: ("simulate", "gisin1999", "--v-over-c", "0"),
+         2, "v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got 0.0"),
     ],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):

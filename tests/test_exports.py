@@ -40,9 +40,8 @@ _EXPORTS = {
         "scenario_to_json", "symmetric_scenario", "with_equalized_starts",
     ],
     "simulate": [
-        "ArmTiming", "CollapseModel", "PairRecord", "SimulationResult",
-        "SweepCurve", "SweepPoint", "connected", "critical_speed", "derive_seed",
-        "scenario_timing", "simulate", "sweep_speed",
+        "ArmTiming", "CollapseModel", "PairRecord", "SimulationResult", "SweepPoint",
+        "critical_speed", "derive_seed", "scenario_timing", "simulate", "sweep_speed",
     ],
 }
 # Submodules exported by name; `simulate` is exported as the function.
@@ -73,7 +72,7 @@ def test_all_is_pinned():
     import moonbell
 
     expected = sorted(sum(_EXPORTS.values(), []) + _SUBMODULES)
-    assert len(expected) == 75
+    assert len(expected) == 73
     assert sorted(moonbell.__all__) == expected
 
 

@@ -16,7 +16,6 @@ from moonbell import (
     Site,
     TracePath,
     arm_length,
-    connected,
     critical_speed,
     preset,
     scenario_timing,
@@ -27,9 +26,20 @@ from moonbell import (
     with_equalized_starts,
 )
 from moonbell.constants import FS_PER_SECOND
-from moonbell.simulate import derive_seed
+from moonbell.simulate import _threshold, derive_seed
 
 C = CONSTANTS.c
+
+
+def _connects(timing, lengths, v, depart_at_end=False):
+    """The run verdict on a bare timeline, as ``simulate`` decides it."""
+    return v >= _threshold(timing, lengths, depart_at_end)
+
+
+def _run_connects(scen, v, depart_at_end=False):
+    """The verdict a four-pair run of ``scen`` at speed ``v`` reports."""
+    model = CollapseModel(v_over_c=v, depart_at_end=depart_at_end)
+    return simulate(scen, model, DEFAULT_SETTINGS, n_pairs=4, seed=0).connected
 
 
 def _timing(starts_fs, taus_fs, arrivals_fs=None):
@@ -62,7 +72,7 @@ def test_timing_applies_offsets():
 
 def test_connected_infinite_speed():
     timing = _timing((0, 0), (5000, 5000))
-    assert connected(timing, (1.0, 1.0), math.inf) is True
+    assert _connects(timing, (1.0, 1.0), math.inf) is True
 
 
 def test_connected_threshold_symmetric():
@@ -70,8 +80,8 @@ def test_connected_threshold_symmetric():
     timing = _timing((0, 0), (5000, 5000))
     lengths = (3.844e8, 3.844e8)
     v_star = 2 * 3.844e8 / (5e-12 * C)
-    assert connected(timing, lengths, v_star * 1.001)
-    assert not connected(timing, lengths, v_star * 0.999)
+    assert _connects(timing, lengths, v_star * 1.001)
+    assert not _connects(timing, lengths, v_star * 0.999)
     assert v_star == pytest.approx(5.13e11, rel=5e-3)
 
 
@@ -79,12 +89,10 @@ def test_connected_at_exact_critical_speed():
     for name in ("gisin1999", "cao2017", "earth_moon_case2", "earth_moon_case3", "mars"):
         scen = preset(name)
         v_star = critical_speed(scen)
-        timing = scenario_timing(scen)
-        lengths = (scen.arms[0].path.length_m, scen.arms[1].path.length_m)
-        assert connected(timing, lengths, v_star)
-        assert not connected(timing, lengths, math.nextafter(v_star, 0))
-        assert connected(timing, lengths, v_star * 1.05)
-        assert not connected(timing, lengths, v_star * 0.95)
+        assert _run_connects(scen, v_star)
+        assert not _run_connects(scen, math.nextafter(v_star, 0))
+        assert _run_connects(scen, v_star * 1.05)
+        assert not _run_connects(scen, v_star * 0.95)
 
 
 def test_critical_speed_symmetric_matches_bound():
@@ -154,9 +162,7 @@ def test_critical_speed_natural_timing_just_below_light_speed():
     expected = l_long / (l_long + C * 5e-12)
     assert v_star < 1.0
     assert v_star == pytest.approx(expected, rel=1e-6)
-    timing = scenario_timing(scen)
-    lengths = (scen.arms[0].path.length_m, l_long)
-    assert connected(timing, lengths, 1.0 + 1e-6)
+    assert _run_connects(scen, 1.0 + 1e-6)
 
 
 def test_connected_tie_break_is_deterministic():
@@ -164,16 +170,8 @@ def test_connected_tie_break_is_deterministic():
     lengths = (1000.0, 2000.0)
     # window must come from arm 1 (the "second" on a tie with arm 0 first)
     v_min = (3000.0 * 1e15) / (C * (timing[1].measure_end_fs - 100))
-    assert connected(timing, lengths, v_min * 1.0001)
-    assert not connected(timing, lengths, v_min * 0.9999)
-
-
-def test_connected_rejects_bad_inputs():
-    timing = _timing((0, 0), (5000, 5000))
-    with pytest.raises(ValueError):
-        connected(timing, (0.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        connected(timing, (1.0, 1.0), 0.0)
+    assert _connects(timing, lengths, v_min * 1.0001)
+    assert not _connects(timing, lengths, v_min * 0.9999)
 
 
 @given(
@@ -188,18 +186,16 @@ def test_connected_rejects_bad_inputs():
 def test_connected_monotone_in_speed(s0, s1, t0, t1, v, factor):
     timing = _timing((s0, s1), (t0, t1))
     lengths = (1234.5, 987.0)
-    if connected(timing, lengths, v):
-        assert connected(timing, lengths, v * factor)
+    if _connects(timing, lengths, v):
+        assert _connects(timing, lengths, v * factor)
 
 
 def test_depart_at_end_is_stricter():
     scen = preset("earth_moon_case3")
     assert critical_speed(scen, depart_at_end=True) >= critical_speed(scen)
-    timing = scenario_timing(scen)
-    lengths = (scen.arms[0].path.length_m, scen.arms[1].path.length_m)
     v_star_end = critical_speed(scen, depart_at_end=True)
-    assert connected(timing, lengths, v_star_end, depart_at_end=True)
-    assert not connected(timing, lengths, v_star_end * 0.95, depart_at_end=True)
+    assert _run_connects(scen, v_star_end, depart_at_end=True)
+    assert not _run_connects(scen, v_star_end * 0.95, depart_at_end=True)
 
 
 def test_simulate_requires_four_pairs():
@@ -309,7 +305,7 @@ def test_sweep_transition_bracket():
     scen = symmetric_scenario(3.844e8)
     v_star = critical_speed(scen)
     grid = list(np.logspace(10, 13, 12))
-    curve = sweep_speed(
+    points = sweep_speed(
         scen,
         fallback="lhv",
         settings=DEFAULT_SETTINGS,
@@ -317,10 +313,14 @@ def test_sweep_transition_bracket():
         n_pairs_per_point=4000,
         seed=3,
     )
-    below, above = curve.transition_bracket()
-    assert below is not None and above is not None
+    # One point per speed, in grid order; numpy scalars from the grid must
+    # not leak into the points.
+    assert [p.v_over_c for p in points] == grid
+    assert all(type(p.v_over_c) is float for p in points)
+    below = max(p.v_over_c for p in points if not p.connected)
+    above = min(p.v_over_c for p in points if p.connected)
     assert below < v_star <= above
-    for p in curve.points:
+    for p in points:
         if p.connected:
             assert abs(p.s_hat - 2 * math.sqrt(2)) <= 5 * p.stderr_s
         else:
@@ -329,34 +329,15 @@ def test_sweep_transition_bracket():
 
 def test_sweep_single_point_and_validation():
     scen = preset("gisin1999")
-    curve = sweep_speed(
+    points = sweep_speed(
         scen, "uncorrelated", DEFAULT_SETTINGS, [math.inf], 1000, seed=0
     )
-    assert len(curve.points) == 1
-    assert curve.points[0].connected is True
+    assert len(points) == 1
+    assert points[0].connected is True
     with pytest.raises(ValueError):
         sweep_speed(scen, "lhv", DEFAULT_SETTINGS, [], 1000, seed=0)
     with pytest.raises(ValueError):
         sweep_speed(scen, "lhv", DEFAULT_SETTINGS, [2.0, 1.0], 1000, seed=0)
-
-
-def test_sweep_csv_byte_stable():
-    scen = symmetric_scenario(3.844e8)
-    grid = list(np.logspace(11, 12, 5))
-    kwargs = dict(
-        fallback="lhv",
-        settings=DEFAULT_SETTINGS,
-        v_grid=grid,
-        n_pairs_per_point=2000,
-        seed=123,
-    )
-    csv_a = sweep_speed(scen, **kwargs).to_csv()
-    assert sweep_speed(scen, **kwargs).to_csv() == csv_a
-    assert csv_a.splitlines()[0] == "v_over_c,S_hat,stderr_S,n_pairs,fraction_connected"
-    # numpy scalars from the grid must not leak into the CSV text
-    assert "np.float64" not in csv_a
-    row = csv_a.splitlines()[1].split(",")
-    assert float(row[0]) == pytest.approx(grid[0])
 
 
 def test_derive_seed_spreads():

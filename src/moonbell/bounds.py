@@ -105,10 +105,13 @@ class ObservationWindow:
     d_max_m: float
 
     def __post_init__(self) -> None:
-        if not self.d_min_m < self.d_max_m:
-            raise ValueError("window requires d_min < d_max")
         if not self.d_min_m >= 0.0:
             raise ValueError(f"window floor (--d-min) must be >= 0 m, got {self.d_min_m!r}")
+        if not self.d_max_m > self.d_min_m:
+            raise ValueError(
+                f"window ceiling (--d-max) must be > the floor (--d-min, {self.d_min_m!r} m), "
+                f"got {self.d_max_m!r}"
+            )
 
 
 # What an Earth-Moon experiment can see: roughly centimetres up to ten times
@@ -126,13 +129,13 @@ def kappa(mass_kg: float = CONSTANTS.m_proton) -> float:
     only a-priori speed/distance scales available from constants alone.
     """
     if not mass_kg > 0.0:
-        raise ValueError("mass must be > 0")
+        raise ValueError(f"mass (--mass) must be > 0, got {mass_kg!r} kg")
     try:
         k = CONSTANTS.G * mass_kg**2 / (CONSTANTS.hbar * CONSTANTS.c)
     except OverflowError:
         k = math.inf
     if not 0.0 < k < math.inf:
-        raise ValueError(f"mass {mass_kg!r} kg puts kappa outside the float range")
+        raise ValueError(f"mass (--mass) {mass_kg!r} kg puts kappa outside the float range")
     return k
 
 
@@ -202,7 +205,10 @@ def apriori_scales(
         except OverflowError:
             v_over_c = math.inf
         if not 0.0 < v_over_c < math.inf:
-            raise ValueError(f"kappa**{n} is outside the float range")
+            raise ValueError(
+                f"kappa**{n} is outside the float range: exponent (--n-values) {n}, "
+                f"mass (--mass) {mass_kg!r} kg"
+            )
         d_m = v_over_c * CONSTANTS.planck_length
         candidates.append(
             AprioriCandidate(

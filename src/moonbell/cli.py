@@ -273,11 +273,11 @@ MAX_POINTS = 100_000
 
 def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
     if points < 1:
-        raise ValueError("--points must be >= 1")
+        raise ValueError(f"--points must be >= 1, got {points}")
     if points > MAX_POINTS:
         raise ValueError(f"--points must be at most {MAX_POINTS}, got {points}")
     if not v_min > 0.0:
-        raise ValueError("--v-min must be > 0")
+        raise ValueError(f"--v-min must be > 0, got {v_min!r}")
     if points == 1:
         return [v_min]
     for flag, v in (("--v-min", v_min), ("--v-max", v_max)):

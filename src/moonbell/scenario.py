@@ -34,17 +34,6 @@ MARS_DISTANCE_M = 2.25e11
 # configuration.
 LAGRANGE_ARM_M = 20.0 * CONSTANTS.d_earth_moon_mean
 
-PRESET_NAMES = (
-    "gisin1999",
-    "cao2017",
-    "earth_moon_case1",
-    "earth_moon_case2",
-    "earth_moon_case3",
-    "lagrange_l4l5",
-    "mars",
-)
-
-
 class ScenarioError(ValueError):
     """A scenario document or geometry violates an invariant.
 
@@ -204,99 +193,81 @@ def light_time(length_m: float) -> float:
     return length_m / CONSTANTS.c
 
 
-def _two_site_scenario(
-    name: str,
-    source_name: str,
-    det_a: Site,
-    det_b: Site,
-    source_pos: Vec = (0.0, 0.0, 0.0),
-    via_b: Vec | None = None,
+def _two_arm_scenario(
+    name: str, source: Site, det_a: Site, det_b: Site, *mirrors_b: Vec
 ) -> Scenario:
-    source = Site(source_name, source_pos)
-    path_a = TracePath((source_pos, det_a.position))
-    vertices_b = (source_pos, via_b, det_b.position) if via_b else (source_pos, det_b.position)
-    path_b = TracePath(vertices_b)
-    return Scenario(
-        name=name,
-        source=source,
-        arms=(Arm(det_a, path_a, DEFAULT_TAU_S), Arm(det_b, path_b, DEFAULT_TAU_S)),
+    """Arm A runs straight from the source to ``det_a``; arm B reaches
+    ``det_b`` by way of ``mirrors_b``, in order."""
+    arms = (
+        Arm(det_a, TracePath((source.position, det_a.position)), DEFAULT_TAU_S),
+        Arm(det_b, TracePath((source.position, *mirrors_b, det_b.position)), DEFAULT_TAU_S),
     )
+    return Scenario(name=name, source=source, arms=arms)
+
+
+# The built-in geometries: source, detector A, detector B and any mirror on
+# arm B, in the order `presets` lists them.
+_PRESETS: dict[str, tuple[Site, Site, Site] | tuple[Site, Site, Site, Vec]] = {
+    # Source midway between detectors 10.6 km apart.
+    "gisin1999": (
+        Site("source_midpoint", (0.0, 0.0, 0.0)),
+        Site("detector_west", (-5300.0, 0.0, 0.0)),
+        Site("detector_east", (5300.0, 0.0, 0.0)),
+    ),
+    # Source 700 km from each of two stations 1203 km apart (a flat 700 km
+    # estimate per arm).
+    "cao2017": (
+        Site("satellite", (0.0, math.sqrt(700e3**2 - 601.5e3**2), 0.0)),
+        Site("ground_station_a", (-601.5e3, 0.0, 0.0)),
+        Site("ground_station_b", (601.5e3, 0.0, 0.0)),
+    ),
+    # Source on Earth, local arm plus Earth-to-Moon arm.
+    "earth_moon_case1": (
+        Site("earth_source", (0.0, 0.0, 0.0)),
+        Site("earth_station", (0.0, LOCAL_ARM_M, 0.0)),
+        Site("moon_station", (CONSTANTS.d_earth_moon_mean, 0.0, 0.0)),
+    ),
+    # Source on Earth, local arm plus a beam retro-reflected by a lunar
+    # mirror to a receiver next to the transmitter: path length twice the
+    # Earth-Moon distance.
+    "earth_moon_case2": (
+        Site("earth_source", (0.0, 0.0, 0.0)),
+        Site("earth_station", (0.0, LOCAL_ARM_M, 0.0)),
+        Site("earth_return_station", (0.0, 0.0, 0.0)),
+        (CONSTANTS.d_earth_moon_mean, 0.0, 0.0),
+    ),
+    # Source on the Moon, local arm plus Moon-to-Earth arm.
+    "earth_moon_case3": (
+        Site("moon_source", (0.0, 0.0, 0.0)),
+        Site("moon_station", (0.0, LOCAL_ARM_M, 0.0)),
+        Site("earth_station", (CONSTANTS.d_earth_moon_mean, 0.0, 0.0)),
+    ),
+    # Source spacecraft and two detector spacecraft at the corners of an
+    # equilateral triangle of side LAGRANGE_ARM_M.
+    "lagrange_l4l5": (
+        Site("source_spacecraft", (0.0, 0.0, 0.0)),
+        Site("detector_spacecraft_a", (LAGRANGE_ARM_M, 0.0, 0.0)),
+        Site(
+            "detector_spacecraft_b",
+            (LAGRANGE_ARM_M / 2.0, LAGRANGE_ARM_M * math.sqrt(3.0) / 2.0, 0.0),
+        ),
+    ),
+    # Source at a Mars station, local arm plus Mars-to-Earth arm.
+    "mars": (
+        Site("mars_source", (0.0, 0.0, 0.0)),
+        Site("mars_station", (0.0, LOCAL_ARM_M, 0.0)),
+        Site("earth_station", (MARS_DISTANCE_M, 0.0, 0.0)),
+    ),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> Scenario:
-    """Return one of the built-in experiment geometries.
-
-    ``gisin1999``        source midway between detectors 10.6 km apart
-    ``cao2017``          source 700 km from each of two stations 1203 km apart
-    ``earth_moon_case1`` source on Earth, local arm plus Earth-to-Moon arm
-    ``earth_moon_case2`` source on Earth, local arm plus Earth-Moon-Earth
-                         mirror bounce (path length twice the Earth-Moon
-                         distance)
-    ``earth_moon_case3`` source on the Moon, local arm plus Moon-to-Earth arm
-    ``lagrange_l4l5``    source spacecraft with two detector spacecraft at
-                         twenty Earth-Moon distances
-    ``mars``             source at a Mars station, local arm plus
-                         Mars-to-Earth arm
-    """
-    d_moon = CONSTANTS.d_earth_moon_mean
-    if name == "gisin1999":
-        return _two_site_scenario(
-            name,
-            "source_midpoint",
-            Site("detector_west", (-5300.0, 0.0, 0.0)),
-            Site("detector_east", (5300.0, 0.0, 0.0)),
-        )
-    if name == "cao2017":
-        # Flat 700 km estimate per arm; stations 1203 km apart on the ground.
-        y = math.sqrt(700e3**2 - 601.5e3**2)
-        return _two_site_scenario(
-            name,
-            "satellite",
-            Site("ground_station_a", (-601.5e3, 0.0, 0.0)),
-            Site("ground_station_b", (601.5e3, 0.0, 0.0)),
-            source_pos=(0.0, y, 0.0),
-        )
-    if name == "earth_moon_case1":
-        return _two_site_scenario(
-            name,
-            "earth_source",
-            Site("earth_station", (0.0, LOCAL_ARM_M, 0.0)),
-            Site("moon_station", (d_moon, 0.0, 0.0)),
-        )
-    if name == "earth_moon_case2":
-        # Retro-reflected beam: up to a lunar mirror and back to a receiver
-        # co-located with the transmitter.
-        return _two_site_scenario(
-            name,
-            "earth_source",
-            Site("earth_station", (0.0, LOCAL_ARM_M, 0.0)),
-            Site("earth_return_station", (0.0, 0.0, 0.0)),
-            via_b=(d_moon, 0.0, 0.0),
-        )
-    if name == "earth_moon_case3":
-        return _two_site_scenario(
-            name,
-            "moon_source",
-            Site("moon_station", (0.0, LOCAL_ARM_M, 0.0)),
-            Site("earth_station", (d_moon, 0.0, 0.0)),
-        )
-    if name == "lagrange_l4l5":
-        # Equilateral triangle of spacecraft, side LAGRANGE_ARM_M.
-        side = LAGRANGE_ARM_M
-        return _two_site_scenario(
-            name,
-            "source_spacecraft",
-            Site("detector_spacecraft_a", (side, 0.0, 0.0)),
-            Site("detector_spacecraft_b", (side / 2.0, side * math.sqrt(3.0) / 2.0, 0.0)),
-        )
-    if name == "mars":
-        return _two_site_scenario(
-            name,
-            "mars_source",
-            Site("mars_station", (0.0, LOCAL_ARM_M, 0.0)),
-            Site("earth_station", (MARS_DISTANCE_M, 0.0, 0.0)),
-        )
-    raise UnknownPresetError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    """Return the built-in experiment geometry ``name``, one of :data:`PRESET_NAMES`."""
+    if name not in PRESET_NAMES:
+        raise UnknownPresetError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return _two_arm_scenario(name, *_PRESETS[name])
 
 
 def symmetric_scenario(arm_length_m: float) -> Scenario:
@@ -307,9 +278,9 @@ def symmetric_scenario(arm_length_m: float) -> Scenario:
     """
     if not arm_length_m > 0.0:
         raise ValueError("arm_length_m must be > 0")
-    return _two_site_scenario(
+    return _two_arm_scenario(
         "symmetric",
-        "source_midpoint",
+        Site("source_midpoint", (0.0, 0.0, 0.0)),
         Site("detector_a", (-arm_length_m, 0.0, 0.0)),
         Site("detector_b", (arm_length_m, 0.0, 0.0)),
     )
@@ -336,44 +307,45 @@ def with_equalized_starts(scenario: Scenario) -> Scenario:
 # docs/scenario_schema.json.  Unknown fields are rejected so typos fail
 # loudly instead of silently changing the geometry.
 
-_TOP_FIELDS = {"name", "source", "arms", "frame_note"}
-_SITE_FIELDS = {"name", "position"}
-_ARM_FIELDS = {"detector", "path", "tau_s", "offset_s"}
 
-
-def _check_unknown(obj: dict, allowed: set[str], field: str) -> None:
-    unknown = set(obj) - allowed
+def _object(
+    value: Any, field: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """``value`` as an object with every ``required`` field and no field
+    outside ``required`` and ``optional``; ``field`` is "" for the document."""
+    if not isinstance(value, dict):
+        if not field:
+            raise ScenarioError("expected a JSON object at the top level")
+        raise ScenarioError("expected an object", field)
+    unknown = set(value).difference(required, optional)
     if unknown:
-        raise ScenarioError(f"unknown field(s) {sorted(unknown)}", field)
+        raise ScenarioError(f"unknown field(s) {sorted(unknown)}", field or "document")
+    for key in required:
+        if key not in value:
+            raise ScenarioError("required field missing", f"{field}.{key}" if field else key)
+    return value
 
 
-def _require(obj: dict, key: str, field: str) -> Any:
-    if key not in obj:
-        raise ScenarioError("required field missing", f"{field}.{key}" if field else key)
-    return obj[key]
+def _as_str(value: Any, field: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{field.rsplit('.', 1)[-1]} must be a string", field)
+    return value
 
 
 def _site_from_dict(obj: Any, field: str) -> Site:
-    if not isinstance(obj, dict):
-        raise ScenarioError("expected an object", field)
-    _check_unknown(obj, _SITE_FIELDS, field)
-    name = _require(obj, "name", field)
-    if not isinstance(name, str):
-        raise ScenarioError("name must be a string", f"{field}.name")
-    position = _as_vec(_require(obj, "position", field), f"{field}.position")
-    return Site(name, position)
+    obj = _object(obj, field, ("name", "position"))
+    name = _as_str(obj["name"], f"{field}.name")
+    return Site(name, _as_vec(obj["position"], f"{field}.position"))
 
 
 def _arm_from_dict(obj: Any, field: str) -> Arm:
-    if not isinstance(obj, dict):
-        raise ScenarioError("expected an object", field)
-    _check_unknown(obj, _ARM_FIELDS, field)
-    detector = _site_from_dict(_require(obj, "detector", field), f"{field}.detector")
-    path_raw = _require(obj, "path", field)
+    obj = _object(obj, field, ("detector", "path", "tau_s"), ("offset_s",))
+    detector = _site_from_dict(obj["detector"], f"{field}.detector")
+    path_raw = obj["path"]
     if not isinstance(path_raw, list) or len(path_raw) < 2:
         raise ScenarioError("path must be a list of at least 2 points", f"{field}.path")
     vertices = tuple(_as_vec(v, f"{field}.path[{i}]") for i, v in enumerate(path_raw))
-    tau_s = _as_number(_require(obj, "tau_s", field), f"{field}.tau_s")
+    tau_s = _as_number(obj["tau_s"], f"{field}.tau_s")
     offset_s = _as_number(obj.get("offset_s", 0.0), f"{field}.offset_s")
     try:
         return Arm(detector, TracePath(vertices), tau_s, offset_s)
@@ -383,21 +355,19 @@ def _arm_from_dict(obj: Any, field: str) -> Arm:
 
 
 def scenario_from_dict(document: dict) -> Scenario:
-    """Build and validate a :class:`Scenario` from a parsed JSON document."""
-    if not isinstance(document, dict):
-        raise ScenarioError("expected a JSON object at the top level")
-    _check_unknown(document, _TOP_FIELDS, "document")
-    name = _require(document, "name", "")
-    if not isinstance(name, str):
-        raise ScenarioError("name must be a string", "name")
-    source = _site_from_dict(_require(document, "source", ""), "source")
-    arms_raw = _require(document, "arms", "")
+    """Build and validate a :class:`Scenario` from a parsed JSON document.
+
+    Each object's required fields are checked before any of its values is read.
+    """
+    document = _object(document, "", ("name", "source", "arms"), ("frame_note",))
+    name = _as_str(document["name"], "name")
+    source = _site_from_dict(document["source"], "source")
+    arms_raw = document["arms"]
     if not isinstance(arms_raw, list) or len(arms_raw) != 2:
         raise ScenarioError("arms must be a list of exactly 2 entries", "arms")
     arms = tuple(_arm_from_dict(a, f"arms[{i}]") for i, a in enumerate(arms_raw))
-    frame_note = document.get("frame_note", Scenario.__dataclass_fields__["frame_note"].default)
-    if not isinstance(frame_note, str):
-        raise ScenarioError("frame_note must be a string", "frame_note")
+    default_note = Scenario.__dataclass_fields__["frame_note"].default
+    frame_note = _as_str(document.get("frame_note", default_note), "frame_note")
     return Scenario(name=name, source=source, arms=arms, frame_note=frame_note)
 
 

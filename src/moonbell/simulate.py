@@ -191,7 +191,7 @@ def simulate(
     error; the CLI prints the values as ``"nan"`` and exits 0.
     """
     if n_pairs < 4:
-        raise ValueError("n_pairs must be at least 4")
+        raise ValueError(f"n_pairs (-n/--pairs) must be at least 4, got {n_pairs}")
     if n_pairs > 2**63 - 1:  # numpy's multinomial counts in int64
         raise ValueError("n_pairs must be at most 2**63 - 1")
     if trace_limit < 0:

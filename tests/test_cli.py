@@ -325,6 +325,66 @@ def _deep_scenario(tmp_path):
     return str(path)
 
 
+def _faulty_scenario(tmp_path, fault):
+    doc = fault(json.loads(scenario_to_json(preset("gisin1999"))))
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(doc))  # json writes inf and nan as Infinity and NaN
+    return str(path)
+
+
+_DROP = object()
+
+
+def _put(path, value):
+    """A fault that sets the field at ``path`` to ``value``, or deletes it for _DROP."""
+
+    def fault(doc):
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+        return doc
+
+    return fault
+
+
+# One fault per document, and the exact line the loader prints for it.
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (_put(("source", "position", 0), float("inf")), "source.position: coordinates must be finite"),
+        (_put(("arms", 0, "path", 0, 1), float("nan")), "arms[0].path[0]: coordinates must be finite"),
+        (_put(("arms", 0, "path"), [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-5300.0, 0.0, 0.0]]),
+         "arms[0].path: consecutive vertices 0 and 1 coincide"),
+        (_put(("arms", 1, "path", 0), [0.0, 1.0, 0.0]),
+         "arms[1].path: path must start at the source position (within 1 mm)"),
+        (_put(("arms", 0, "detector"), "west"), "arms[0].detector: expected an object"),
+        (_put(("arms", 1), []), "arms[1]: expected an object"),
+        (_put(("source", "name"), None), "source.name: name must be a string"),
+        (_put(("arms", 1, "detector", "name"), 5), "arms[1].detector.name: name must be a string"),
+        (_put(("name",), 7), "name: name must be a string"),
+        (_put(("frame_note",), ["lab"]), "frame_note: frame_note must be a string"),
+        (_put(("arms", 0, "path"), [[0.0, 0.0, 0.0]]),
+         "arms[0].path: path must be a list of at least 2 points"),
+        (lambda doc: {**doc, "arms": doc["arms"] + doc["arms"][:1]},
+         "arms: arms must be a list of exactly 2 entries"),
+        (lambda doc: [], "expected a JSON object at the top level"),
+        (_put(("color",), "blue"), "document: unknown field(s) ['color']"),
+        (_put(("arms", 0, "detector", "colour"), "red"), "arms[0].detector: unknown field(s) ['colour']"),
+        (_put(("arms",), _DROP), "arms: required field missing"),
+        (_put(("arms", 0, "tau_s"), _DROP), "arms[0].tau_s: required field missing"),
+    ],
+)
+def test_single_fault_document_names_field(tmp_path, fault, line):
+    proc = run_cli("validate", _faulty_scenario(tmp_path, fault))
+    assert proc.returncode == 2, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("", f"error: {line}\n")
+
+
 _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "--pair-rate", "1")
 
 
@@ -389,6 +449,23 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
          2, "v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got nan"),
         (lambda d: ("simulate", "gisin1999", "--v-over-c", "0"),
          2, "v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got 0.0"),
+        (lambda d: ("scales", "--d-max", "nan"),
+         2, "window ceiling (--d-max) must be > the floor (--d-min, 0.01 m), got nan"),
+        (lambda d: ("scales", "--d-min", "5", "--d-max", "1"),
+         2, "window ceiling (--d-max) must be > the floor (--d-min, 5.0 m), got 1.0"),
+        (lambda d: ("scales", "--mass=-1"), 2, "mass (--mass) must be > 0, got -1.0 kg"),
+        (lambda d: ("scales", "--mass", "1e300"),
+         2, "mass (--mass) 1e+300 kg puts kappa outside the float range"),
+        (lambda d: ("scales", "--n-values=1000"),
+         2, "kappa**1000 is outside the float range: exponent (--n-values) 1000, "
+            "mass (--mass) 1.67262192369e-27 kg"),
+        (lambda d: ("simulate", "gisin1999", "-n", "3"), 2, "n_pairs (-n/--pairs) must be at least 4, got 3"),
+        (lambda d: ("sweep", "gisin1999", "-n", "3", "--v-min", "1", "--v-max", "2",
+                    "--out", str(d / "few.csv")), 2, "n_pairs (-n/--pairs) must be at least 4, got 3"),
+        (lambda d: ("sweep", "gisin1999", "--points", "0", "--v-min", "1", "--v-max", "2",
+                    "--out", str(d / "none.csv")), 2, "--points must be >= 1, got 0"),
+        (lambda d: ("sweep", "gisin1999", "--v-min", "0", "--v-max", "2",
+                    "--out", str(d / "zero.csv")), 2, "--v-min must be > 0, got 0.0"),
     ],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from moonbell import (
     PRESET_NAMES,
     Scenario,
     ScenarioError,
+    Site,
+    TracePath,
     UnknownPresetError,
     arm_length,
     detector_separation,
@@ -78,6 +81,18 @@ def test_round_trip_preserves_arm_lengths(name):
     for i in (0, 1):
         assert abs(arm_length(back, i) - arm_length(s, i)) <= 1e-6  # 1 um
     assert back == s  # exact dataclass round trip
+
+
+# Every preset's full document (site names, every vertex, tau_s and
+# offset_s), captured while each preset had its own branch of an if chain.
+_PINNED_PRESETS = json.loads(pathlib.Path(__file__).with_name("pinned_presets.json").read_text())
+
+
+def test_preset_documents_are_pinned():
+    assert [*PRESET_NAMES, "symmetric_scenario(384400000.0)"] == list(_PINNED_PRESETS)
+    scenarios = [*(preset(name) for name in PRESET_NAMES), symmetric_scenario(384400000.0)]
+    for scenario, pinned in zip(scenarios, _PINNED_PRESETS.values()):
+        assert scenario_to_json(scenario) == json.dumps(pinned, indent=2, sort_keys=True)
 
 
 def test_arm_length_invariant_under_isometries():
@@ -307,3 +322,16 @@ def test_astronomically_long_path_loads():
     doc = _valid_doc()
     _long_arm(1e160)(doc)
     assert arm_length(load_scenario(doc), 0) == 1e160
+
+
+def test_constructors_reject_what_no_document_reaches():
+    arm = preset("gisin1999").arms[0]
+    with pytest.raises(ScenarioError) as err:
+        Scenario("one_arm", Site("src", (0.0, 0.0, 0.0)), (arm,))
+    assert (str(err.value), err.value.field) == ("arms: a scenario has exactly 2 arms", "arms")
+    with pytest.raises(ScenarioError) as err:
+        TracePath(((0.0, 0.0, 0.0),))
+    assert (str(err.value), err.value.field) == ("a trace path needs at least 2 vertices", None)
+    with pytest.raises(ScenarioError) as err:
+        Site("far", (math.inf, 0.0, 0.0))
+    assert (str(err.value), err.value.field) == ("far: site position must be finite", "far")

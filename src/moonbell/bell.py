@@ -18,6 +18,13 @@ from typing import Callable
 CorrelationFn = Callable[[float, float], float]
 
 MODELS = ("quantum", "lhv", "uncorrelated")
+# The models a simulated run falls back to when the collapse influence is late.
+FALLBACKS = ("uncorrelated", "lhv")
+# Joint outcomes (arm A, arm B), in the order of outcome_probabilities.
+OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Sign of each correlation over ChshSettings.pairs() in the Bell combination
+# (Clauser, Horne, Shimony and Holt, PRL 23, 880, 1969).
+CHSH_SIGNS = (1, -1, 1, 1)
 
 # Quantum and classical ceilings of the four-term combination.
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -86,11 +93,10 @@ def lhv_correlation(a: float, b: float) -> float:
 
 
 def outcome_probabilities(model: str, a: float, b: float) -> tuple[float, float, float, float]:
-    """Joint outcome probabilities (++, +-, -+, --) for one angle pair.
+    """Joint outcome probabilities for one angle pair, in :data:`OUTCOMES` order.
 
-    The order matches the outcome products (+1, -1, -1, +1).  Every model
-    has unbiased single-arm marginals (each outcome 1/2); its signed sum is
-    the model's correlation function, and 0 for ``"uncorrelated"``.
+    Every model has unbiased single-arm marginals (each outcome 1/2); its
+    signed sum is the model's correlation function, and 0 for ``"uncorrelated"``.
     """
     if model == "quantum":
         same = math.cos(a - b) ** 2 / 2.0
@@ -107,10 +113,8 @@ def outcome_probabilities(model: str, a: float, b: float) -> tuple[float, float,
 
 
 def chsh_value(correlation_fn: CorrelationFn, settings: ChshSettings = DEFAULT_SETTINGS) -> float:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return (
-        correlation_fn(settings.a, settings.b)
-        - correlation_fn(settings.a, settings.b_prime)
-        + correlation_fn(settings.a_prime, settings.b)
-        + correlation_fn(settings.a_prime, settings.b_prime)
-    )
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b'): :data:`CHSH_SIGNS` over ``settings.pairs()``."""
+    s = 0.0
+    for sign, (a, b) in zip(CHSH_SIGNS, settings.pairs()):
+        s += sign * correlation_fn(a, b)
+    return s

@@ -51,14 +51,12 @@ class Claim:
         return (self.computed_value - self.paper_value) / self.paper_value
 
 
-def _printed_combination(settings=DEFAULT_SETTINGS) -> float:
-    # The source text prints the fourth term with a minus sign.
-    return (
-        quantum_correlation(settings.a, settings.b)
-        - quantum_correlation(settings.a, settings.b_prime)
-        + quantum_correlation(settings.a_prime, settings.b)
-        - quantum_correlation(settings.a_prime, settings.b_prime)
-    )
+def _printed_combination() -> float:
+    # The source text prints the Bell combination with a minus sign on the fourth term.
+    s = 0.0
+    for sign, (a, b) in zip((1, -1, 1, -1), DEFAULT_SETTINGS.pairs()):
+        s += sign * quantum_correlation(a, b)
+    return s
 
 
 def all_claims() -> tuple[Claim, ...]:
@@ -199,18 +197,9 @@ def all_claims() -> tuple[Claim, ...]:
 
 
 def claims_as_dicts() -> list[dict]:
-    """Ledger rows as plain dicts (report embedding)."""
-    return [
-        {
-            "claim_id": c.claim_id,
-            "paper_location": c.paper_location,
-            "paper_value": c.paper_value,
-            "computed_value": c.computed_value,
-            "relative_difference": c.relative_difference,
-            "note": c.note,
-        }
-        for c in all_claims()
-    ]
+    """Ledger rows as plain dicts (report embedding): every field plus ``relative_difference``."""
+    # vars(), not dataclasses.asdict(), whose deep copy of scalars is ~10x slower.
+    return [{**vars(c), "relative_difference": c.relative_difference} for c in all_claims()]
 
 
 def claims_csv() -> str:

@@ -17,8 +17,9 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .bell import ChshSettings
+from .bell import DEFAULT_SETTINGS, FALLBACKS, TSIRELSON_BOUND, ChshSettings
 from .bounds import (
+    EARTH_MOON_WINDOW,
     ObservationWindow,
     apriori_scales,
     mond_candidate,
@@ -172,6 +173,11 @@ def _flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
     return [(prefix, value)]
 
 
+def _has_line_break(text: str) -> bool:
+    """Whether ``text`` holds any character that ``str.splitlines`` breaks at."""
+    return "".join(text.splitlines()) != text
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -179,12 +185,16 @@ def render_report(report: dict, fmt: str) -> str:
         lines = ["key,value"]
         for key, value in _flatten(report):
             text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
-            if "," in text or '"' in text:
+            if "," in text or '"' in text or _has_line_break(text):
                 text = '"' + text.replace('"', '""') + '"'
             lines.append(f"{key},{text}")
         return "\n".join(lines) + "\n"
     if fmt == "text":
-        return "\n".join(f"{key}: {value}" for key, value in _flatten(report)) + "\n"
+        # One line per key: a value that spans lines is written as its JSON literal.
+        return "\n".join(
+            f"{key}: {json.dumps(value) if isinstance(value, str) and _has_line_break(value) else value}"
+            for key, value in _flatten(report)
+        ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -214,7 +224,9 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
     scenario = resolve_scenario(args.scenario)
     if args.equalize_starts:
         scenario = with_equalized_starts(scenario)
-    settings = parse_settings(args.settings)
+    settings = DEFAULT_SETTINGS if args.settings is None else parse_settings(args.settings)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     inputs = {
         "scenario": _scenario_summary(scenario),
         "fallback": args.fallback,
@@ -284,7 +296,7 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
         if not math.isfinite(v):
             raise ValueError(f"{flag} must be finite")
     if not v_max > v_min:
-        raise ValueError("--v-max must exceed --v-min")
+        raise ValueError(f"--v-max must exceed --v-min {v_min!r}, got {v_max!r}")
     if spacing == "log":
         lo, hi = math.log10(v_min), math.log10(v_max)
         grid = [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
@@ -341,7 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
 def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
     _bind("LinkSpec", "budget_report")
     ref_length = parse_length(args.ref_length, "--ref-length")
-    arm_a, arm_b = arms = [
+    arm_a, arm_b = [
         LinkSpec(
             length_m=parse_length(length, flag),
             reference_length_m=ref_length,
@@ -353,16 +365,6 @@ def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
             ("--length-b", args.length_b, args.eff_b),
         )
     ]
-    # The L^-2 law would turn the reference loss into a gain. Checked after
-    # both arms parse, so a malformed --length-b is still the error named.
-    for name, arm in zip("AB", arms):
-        if arm.total_loss_db < 0.0:
-            raise ValueError(
-                f"arm {name} ({arm.length_m!r} m) is shorter than --ref-length "
-                f"({ref_length!r} m) by more than --ref-loss-db "
-                f"({args.ref_loss_db!r} dB) covers; its loss would be "
-                f"{arm.total_loss_db:.3f} dB"
-            )
     inputs = {
         "length_a_m": arm_a.length_m,
         "length_b_m": arm_b.length_m,
@@ -430,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--fallback", choices=("uncorrelated", "lhv"), default="uncorrelated")
-    sim.add_argument("--settings", default="0,45deg,22.5deg,67.5deg",
+    sim.add_argument("--fallback", choices=FALLBACKS, default="uncorrelated")
+    sim.add_argument("--settings", default=None,
                      help="four analyzer angles a,a',b,b' (radians; 'deg' suffix accepted)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--workers", type=int, default=1,
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eff-a", type=float, default=1.0)
     p.add_argument("--eff-b", type=float, default=1.0)
     p.add_argument("--pair-rate", type=float, required=True, help="source pair rate, pairs/s")
-    p.add_argument("--s-expected", type=float, default=2.0 * math.sqrt(2.0))
+    p.add_argument("--s-expected", type=float, default=TSIRELSON_BOUND)
     p.add_argument("--k-sigma", type=float, default=3.0)
     p.set_defaults(func=cmd_linkbudget)
 
@@ -475,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated exponents (default -1,0,1); a list that starts "
                    "with a negative one needs the = form, --n-values=-1,0,1")
     p.add_argument("--mass", type=float, default=CONSTANTS.m_proton, help="coupling mass, kg")
-    p.add_argument("--d-min", type=float, default=1e-2, help="observable window floor, m")
-    p.add_argument("--d-max", type=float, default=10.0 * CONSTANTS.d_earth_moon_mean,
+    p.add_argument("--d-min", type=float, default=EARTH_MOON_WINDOW.d_min_m,
+                   help="observable window floor, m")
+    p.add_argument("--d-max", type=float, default=EARTH_MOON_WINDOW.d_max_m,
                    help="observable window ceiling, m")
     p.set_defaults(func=cmd_scales)
 

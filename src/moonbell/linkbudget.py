@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bell import TSIRELSON_BOUND
+from .bell import CLASSICAL_BOUND, TSIRELSON_BOUND
 from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
 
 
@@ -74,14 +74,14 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> int:
     The returned n satisfies
     (s_expected - 2) / sqrt((4 - s_expected**2 / 4) / n) >= k_sigma.
     """
-    if not s_expected > 2.0:
+    if not s_expected > CLASSICAL_BOUND:
         raise ValueError("s_expected must exceed the classical bound 2")
     if s_expected > TSIRELSON_BOUND:
         raise ValueError(f"s_expected = {s_expected!r} exceeds the Tsirelson bound 2*sqrt(2)")
     if not k_sigma >= 0.0:
         raise ValueError("k_sigma must be >= 0")
     try:
-        n = max(1, math.ceil((4.0 - s_expected**2 / 4.0) * (k_sigma / (s_expected - 2.0)) ** 2))
+        n = max(1, math.ceil((4.0 - s_expected**2 / 4.0) * (k_sigma / (s_expected - CLASSICAL_BOUND)) ** 2))
     except OverflowError:
         raise ValueError("k_sigma / (s_expected - 2) is too large for a finite pair count") from None
     return n
@@ -119,6 +119,15 @@ def budget_report(
     cadence flag is set when that rate reaches the threshold at which the
     printed proper-time corrections matter.
     """
+    # The L^-2 law would turn the reference loss of a short arm into a gain.
+    for name, arm in (("A", arm_a), ("B", arm_b)):
+        if arm.total_loss_db < 0.0:
+            raise ValueError(
+                f"arm {name} ({arm.length_m!r} m) is shorter than --ref-length "
+                f"({arm.reference_length_m!r} m) by more than --ref-loss-db "
+                f"({arm.reference_loss_db!r} dB) covers; its loss would be "
+                f"{arm.total_loss_db:.3f} dB"
+            )
     loss_a, loss_b = arm_a.total_loss_db, arm_b.total_loss_db
     rate = coincidence_rate(
         pair_rate_hz, loss_a, loss_b, arm_a.detector_efficiency, arm_b.detector_efficiency

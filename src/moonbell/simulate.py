@@ -21,15 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bell import ChshSettings, outcome_probabilities
+from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
 from .constants import CONSTANTS, FS_PER_SECOND
-from .scenario import Scenario, arm_length
-
-FALLBACKS = ("uncorrelated", "lhv")
-
-# Outcome products for the joint-outcome order (++, +-, -+, --).
-_PRODUCTS = (1, -1, -1, 1)
-_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+from .scenario import Scenario, arm_length, light_time
 
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
 _SEED_MASK = (1 << 64) - 1
@@ -109,9 +103,8 @@ def _to_fs(seconds: float) -> int:
 def scenario_timing(scenario: Scenario) -> tuple[ArmTiming, ArmTiming]:
     """Arrival and measurement window per arm for an emission at 0 fs."""
     timings = []
-    for i in (0, 1):
-        arm = scenario.arms[i]
-        arrival = _to_fs(arm.path.length_m / CONSTANTS.c)
+    for arm in scenario.arms:
+        arrival = _to_fs(light_time(arm.path.length_m))
         start = arrival + _to_fs(arm.offset_s)
         end = start + _to_fs(arm.tau_s)
         timings.append(ArmTiming(arrival, start, end))
@@ -193,7 +186,7 @@ def simulate(
     if n_pairs < 4:
         raise ValueError(f"n_pairs (-n/--pairs) must be at least 4, got {n_pairs}")
     if n_pairs > 2**63 - 1:  # numpy's multinomial counts in int64
-        raise ValueError("n_pairs must be at most 2**63 - 1")
+        raise ValueError(f"n_pairs (-n/--pairs) must be at most 2**63 - 1, got {n_pairs}")
     if trace_limit < 0:
         raise ValueError(f"trace_limit (--trace) must be >= 0, got {trace_limit}")
     if min(trace_limit, n_pairs) > MAX_TRACE:
@@ -202,8 +195,7 @@ def simulate(
         raise ValueError("workers must be >= 1")
 
     timing = scenario_timing(scenario)
-    lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
-    is_connected = model.v_over_c >= _threshold(timing, lengths, model.depart_at_end)
+    is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
 
     # numpy is imported here, not at module scope, so the commands that never
     # sample (bound, presets, linkbudget, scales, validate) do not load it.
@@ -223,23 +215,25 @@ def simulate(
     cells = tally.reshape(4, 4)
 
     records = tuple(
-        PairRecord(settings=angle_pairs[int(c) // 4], outcomes=_OUTCOMES[int(c) % 4])
+        PairRecord(settings=angle_pairs[int(c) // 4], outcomes=OUTCOMES[int(c) % 4])
         for c in traced
     )
 
     counts = cells.sum(axis=1)
-    prod_sums = cells @ _PRODUCTS
+    prod_sums = cells @ [a * b for a, b in OUTCOMES]
     e_hat = np.full(4, np.nan)
     nonzero = counts > 0
     e_hat[nonzero] = prod_sums[nonzero] / counts[nonzero]
-    s_hat = e_hat[0] - e_hat[1] + e_hat[2] + e_hat[3]
+    s_hat = 0.0
+    for sign, e in zip(CHSH_SIGNS, e_hat):
+        s_hat += sign * float(e)
     with np.errstate(divide="ignore", invalid="ignore"):
         stderr = float(np.sqrt(np.sum((1.0 - e_hat**2) / counts)))
 
     return SimulationResult(
         e_hat=tuple(float(x) for x in e_hat),
         counts=tuple(int(x) for x in counts),
-        s_hat=float(s_hat),
+        s_hat=s_hat,
         stderr_s=stderr,
         connected=is_connected,
         timing=timing,

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from moonbell import (
     outcome_probabilities,
     quantum_correlation,
 )
+from moonbell.bell import CHSH_SIGNS, FALLBACKS, MODELS, OUTCOMES
+from moonbell.cli import build_parser
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -135,6 +138,32 @@ def test_marginals_unbiased_and_signed_sum_consistent():
             assert p_pp + p_pm == pytest.approx(0.5, abs=1e-12)
             assert p_mp + p_mm == pytest.approx(0.5, abs=1e-12)
             assert p_pp + p_mm - p_pm - p_mp == pytest.approx(fn(a, b), abs=1e-12)
+
+
+def test_outcome_order_and_chsh_signs_rebuild_s():
+    # A swap of +- and -+ changes no statistic of these symmetric models, so
+    # the order is pinned outright as well as used below.
+    assert OUTCOMES == ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    products = [x * y for x, y in OUTCOMES]
+    rng = np.random.default_rng(37)
+    for settings in [DEFAULT_SETTINGS, *_random_settings(rng, 300)]:
+        for model, fn in (("quantum", quantum_correlation), ("lhv", lhv_correlation)):
+            e = [
+                sum(p * q for p, q in zip(outcome_probabilities(model, a, b), products))
+                for a, b in settings.pairs()
+            ]
+            s_table = sum(sign * e_i for sign, e_i in zip(CHSH_SIGNS, e))
+            ab, ab_prime, a_prime_b, a_prime_b_prime = settings.pairs()
+            s_written = fn(*ab) - fn(*ab_prime) + fn(*a_prime_b) + fn(*a_prime_b_prime)
+            assert s_table == pytest.approx(chsh_value(fn, settings), abs=1e-12)
+            assert s_table == pytest.approx(s_written, abs=1e-12)
+
+    assert set(FALLBACKS) < set(MODELS)
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("simulate", "sweep"):
+        fallback = next(a for a in commands.choices[command]._actions if a.dest == "fallback")
+        assert tuple(fallback.choices) == FALLBACKS
 
 
 @given(st.floats(-100.0, 100.0))

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import pathlib
 import subprocess
@@ -9,6 +11,7 @@ import jsonschema
 import pytest
 
 from moonbell import preset, scenario_to_json
+from moonbell.cli import main
 from moonbell.simulate import scenario_timing
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -401,7 +404,10 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
         (lambda d: ("simulate", _extreme_scenario(d, "o", 1, "offset_s", 1e300)), 2, "offset_s"),
         (lambda d: ("bound", "gisin1999", "--tau", "inf"), 2, "tau"),
         (lambda d: ("bound", "gisin1999", "--tau", "1e300"), 2, "tau"),
-        (lambda d: ("simulate", "gisin1999", "-n", str(2**63)), 2, "n_pairs"),
+        (lambda d: ("simulate", "gisin1999", "-n", str(2**63)),
+         2, "n_pairs (-n/--pairs) must be at most 2**63 - 1, got 9223372036854775808"),
+        (lambda d: ("sweep", "gisin1999", "--v-min", "5", "--v-max", "2", "--out", str(d / "rev.csv")),
+         2, "--v-max must exceed --v-min 5.0, got 2.0"),
         (lambda d: ("simulate", "gisin1999", "-n", "1000000000000", "--trace", "1000000000000"),
          2, "--trace"),
         (lambda d: ("sweep", "gisin1999", "--v-min", "1", "--v-max", "inf", "--points", "3",
@@ -576,6 +582,57 @@ def test_empty_setting_cell_reports_nan_and_exits_0():
     assert results["e_hat"][0] == "nan" and results["e_hat"][2] == "nan"
     assert results["s_hat"] == "nan"
     assert results["stderr_s"] == "nan"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_workers_below_one_exits_2(tmp_path, command, workers):
+    out = tmp_path / "w.csv"
+    argv = ["simulate", "gisin1999", "-n", "1000"]
+    if command == "sweep":
+        argv = ["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3",
+                "-n", "1000", "--out", str(out)]
+    proc = run_cli(*argv, "--workers", workers)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: --workers must be >= 1, got {workers}\n")
+    assert not out.exists()
+
+
+def _flat_keys(value, prefix=""):
+    if isinstance(value, dict):
+        return [k for key in sorted(value) for k in _flat_keys(value[key], f"{prefix}.{key}" if prefix else key)]
+    if isinstance(value, list):
+        return [k for i, v in enumerate(value) for k in _flat_keys(v, f"{prefix}[{i}]")]
+    return [prefix]
+
+
+@pytest.mark.parametrize(
+    "name, filename",
+    [("a\nb", "doc.json"), ("a\r\nb, \"c\"", "doc.json"), ("cao2017", "line\nbreak.json")],
+)
+def test_line_break_in_user_string_keeps_one_record_per_key(tmp_path, capsys, name, filename):
+    doc = json.loads(scenario_to_json(preset("cao2017")))
+    doc["name"] = name
+    path = tmp_path / filename
+    path.write_text(json.dumps(doc))
+
+    def validate(fmt):
+        # In-process, so that no newline translation touches a "\r".
+        assert main(["validate", str(path), "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    keys = _flat_keys(json.loads(validate("json")))
+
+    rows = list(csv.reader(io.StringIO(validate("csv"), newline="")))
+    assert all(len(row) == 2 for row in rows)
+    assert [row[0] for row in rows] == ["key", *keys]
+    assert dict(rows[1:])["results.scenario.name"] == name
+
+    lines = validate("text").splitlines()
+    assert all(": " in line for line in lines)
+    assert [line.split(": ", 1)[0] for line in lines] == keys
+    text = dict(line.split(": ", 1) for line in lines)
+    assert text["inputs.file"] == (json.dumps(str(path)) if "\n" in filename else str(path))
 
 
 @pytest.mark.parametrize("arm, lengths", [("A", ("100km", "1000km")), ("B", ("1000km", "100km"))])

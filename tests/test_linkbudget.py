@@ -138,6 +138,17 @@ def test_budget_report_integration_time_and_cadence_flag():
         budget_report(lossy, lossy, pair_rate_hz=1.0)
 
 
+def test_budget_report_names_an_arm_shorter_than_its_reference():
+    long_arm = LinkSpec(length_m=1e6, reference_length_m=500e3, reference_loss_db=10.0)
+    short_arm = LinkSpec(length_m=1e3, reference_length_m=500e3, reference_loss_db=10.0)
+    with pytest.raises(ValueError) as excinfo:
+        budget_report(long_arm, short_arm, pair_rate_hz=1.0)
+    assert str(excinfo.value) == (
+        "arm B (1000.0 m) is shorter than --ref-length (500000.0 m) by more than "
+        "--ref-loss-db (10.0 dB) covers; its loss would be -43.979 dB"
+    )
+
+
 def test_link_spec_validation():
     with pytest.raises(ValueError):
         LinkSpec(length_m=0.0, reference_length_m=1.0, reference_loss_db=0.0)

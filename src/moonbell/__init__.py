@@ -26,15 +26,18 @@ from .bounds import (
     EARTH_MOON_WINDOW,
     MOND_SCALE_M,
     AprioriCandidate,
+    ArmTiming,
     ObservationWindow,
     SpeedBound,
     apriori_scales,
     cadence_threshold,
     classify_scale,
+    critical_speed,
     gain_factor,
     kappa,
     mond_candidate,
     proper_time_correction,
+    scenario_timing,
     speed_bound,
     swapping_effective_length,
 )
@@ -86,14 +89,11 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "ArmTiming",
             "CollapseModel",
             "PairRecord",
             "SimulationResult",
             "SweepPoint",
-            "critical_speed",
             "derive_seed",
-            "scenario_timing",
             "simulate",
             "sweep_speed",
         ),

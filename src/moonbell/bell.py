@@ -34,7 +34,7 @@ CLASSICAL_BOUND = 2.0
 def canonical_angle(theta: float) -> float:
     """Fold an analyzer angle into [0, pi); polarizers are pi-periodic."""
     if not math.isfinite(theta):
-        raise ValueError("analyzer angle must be finite")
+        raise ValueError(f"analyzer angle (--settings) must be finite, got {theta!r}")
     folded = theta % math.pi
     # tiny negative inputs round up to pi itself under float modulo
     return 0.0 if folded == math.pi else folded

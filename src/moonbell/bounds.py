@@ -7,10 +7,12 @@ so any experiment that still sees quantum correlations implies
 
     v_min / c = 2 * L_max / (tau * c).
 
-This module also covers the entanglement-swapping variant of that rule,
-configuration-to-configuration gain factors, gravitational proper-time rate
-differences between sites, and the dimensional-analysis survey of a-priori
-speed/distance scales.
+The second connectivity rule, the event model of :func:`critical_speed`,
+charges L_0 + L_1 on one emission's integer-femtosecond timeline in the
+privileged frame (:func:`scenario_timing`).  This module also covers the
+entanglement-swapping variant of the core rule, configuration-to-configuration
+gain factors, gravitational proper-time rate differences between sites, and
+the dimensional-analysis survey of a-priori speed/distance scales.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS
-from .scenario import Scenario, arm_length
+from .constants import CONSTANTS, FS_PER_SECOND
+from .scenario import Scenario, arm_length, light_time
 
 CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
 
@@ -41,8 +43,8 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     choice: a slower measurement weakens the bound).
 
     The rule charges the influence 2 * L_max within tau, with simultaneous
-    starts; the simulator's :func:`moonbell.simulate.critical_speed` charges
-    L_0 + L_1 within its femtosecond window instead.
+    starts; the event model, :func:`critical_speed`, charges L_0 + L_1
+    within its femtosecond window instead.
     """
     if tau_override_s is not None and not tau_override_s > 0.0:
         raise ValueError(f"tau override (--tau) must be > 0, got {tau_override_s!r} s")
@@ -52,6 +54,69 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     if not 0.0 < v_min_over_c < math.inf:
         raise ValueError(f"tau = {tau!r} s puts v_min/c = {v_min_over_c!r} out of float range")
     return SpeedBound(l_max_m=l_max, tau_s=tau, v_min_over_c=v_min_over_c)
+
+
+@dataclass(frozen=True)
+class ArmTiming:
+    """Integer-femtosecond event times for one arm."""
+
+    arrival_fs: int
+    measure_start_fs: int
+    measure_end_fs: int
+
+
+def _to_fs(seconds: float) -> int:
+    """Nearest integer femtosecond."""
+    return int(round(seconds * FS_PER_SECOND))
+
+
+def scenario_timing(scenario: Scenario) -> tuple[ArmTiming, ArmTiming]:
+    """Arrival and measurement window per arm for an emission at 0 fs."""
+    timings = []
+    for arm in scenario.arms:
+        arrival = _to_fs(light_time(arm.path.length_m))
+        start = arrival + _to_fs(arm.offset_s)
+        end = start + _to_fs(arm.tau_s)
+        timings.append(ArmTiming(arrival, start, end))
+    return (timings[0], timings[1])
+
+
+def _threshold(
+    timing: tuple[ArmTiming, ArmTiming], lengths_m: tuple[float, float], depart_at_end: bool
+) -> float:
+    """Smallest v_over_c whose influence covers L_0 + L_1 within the window; inf if empty."""
+    # Arm with the earlier measurement start emits the influence; ties go to
+    # arm 0 (symmetric timings make the choice irrelevant).
+    first, second = (
+        (timing[0], timing[1])
+        if timing[0].measure_start_fs <= timing[1].measure_start_fs
+        else (timing[1], timing[0])
+    )
+    departure = first.measure_end_fs if depart_at_end else first.measure_start_fs
+    window_fs = second.measure_end_fs - departure
+    if window_fs <= 0:
+        return math.inf
+    total_m = lengths_m[0] + lengths_m[1]
+    v = total_m * FS_PER_SECOND / (CONSTANTS.c * window_fs)
+    # Round up to the first float whose travel time, cross-multiplied, fits
+    # the window, so the quotient's rounding never admits a late influence.
+    while not total_m * FS_PER_SECOND <= v * (CONSTANTS.c * window_fs):
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
+    """Smallest v_over_c (inclusive) at which ``scenario`` is connected.
+
+    v* = (L_0 + L_1) / (c * window), rounded up to the first float whose
+    travel time fits the window (start lag + later measurement duration, in
+    fs); inf for an empty window.  This event model charges the influence
+    L_0 + L_1 within that window, whereas :func:`speed_bound` charges
+    2 * L_max within tau with simultaneous starts.
+    """
+    timing = scenario_timing(scenario)
+    lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
+    return _threshold(timing, lengths, depart_at_end)
 
 
 def swapping_effective_length(path_a_to_b_via_source_m: float, path_c_to_d_via_source_m: float) -> float:

@@ -22,7 +22,9 @@ from .bounds import (
     EARTH_MOON_WINDOW,
     ObservationWindow,
     apriori_scales,
+    critical_speed,
     mond_candidate,
+    scenario_timing,
     speed_bound,
 )
 from .claims import claims_as_dicts
@@ -40,13 +42,13 @@ from .scenario import (
 
 if TYPE_CHECKING:
     from .linkbudget import LinkSpec, budget_report
-    from .simulate import CollapseModel, critical_speed, simulate, sweep_speed
+    from .simulate import CollapseModel, simulate, sweep_speed
 
 # Bound on first use, so that a command which neither samples nor plans a
 # link never loads moonbell.simulate or moonbell.linkbudget. They stay
 # attributes of this module that each command looks up when it runs, so a
 # caller may rebind them (bench/tracing.py wraps them in timing spans).
-_LAZY = ("CollapseModel", "critical_speed", "simulate", "sweep_speed", "LinkSpec", "budget_report")
+_LAZY = ("CollapseModel", "simulate", "sweep_speed", "LinkSpec", "budget_report")
 
 
 def __getattr__(name: str) -> Any:
@@ -119,9 +121,9 @@ def parse_settings(text: str) -> ChshSettings:
         raise ValueError(f"--settings needs four comma-separated angles: a,a',b,b', in {text!r}")
     try:
         a, a_prime, b, b_prime = (parse_angle(p, "--settings") for p in parts)
+        return ChshSettings(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
     except ValueError as exc:
         raise ValueError(f"{exc}, in {text!r}") from None
-    return ChshSettings(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
 
 
 def resolve_scenario(ref: str) -> Scenario:
@@ -239,7 +241,7 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("CollapseModel", "simulate", "critical_speed")
+    _bind("CollapseModel", "simulate")
     scenario, settings, inputs = _resolve_run(args)
     model = CollapseModel(
         v_over_c=parse_speed(args.v_over_c, "--v-over-c"),
@@ -266,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     }
     if result.records:
         # Every traced pair shares the run's one timeline, printed once here.
-        results["timing"] = {"emission_fs": 0, "arms": [asdict(t) for t in result.timing]}
+        results["timing"] = {"emission_fs": 0, "arms": [asdict(t) for t in scenario_timing(scenario)]}
         results["trace"] = [
             {
                 "connected": result.connected,
@@ -311,7 +313,7 @@ def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[f
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("sweep_speed", "critical_speed")
+    _bind("sweep_speed")
     scenario, settings, inputs = _resolve_run(args)
     grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
     points = sweep_speed(

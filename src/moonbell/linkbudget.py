@@ -37,16 +37,19 @@ class LinkSpec:
     detector_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.length_m > 0.0 and self.reference_length_m > 0.0):
-            raise ValueError("lengths must be > 0")
-        if not math.isfinite(self.reference_loss_db):
-            raise ValueError(
-                f"reference loss (--ref-loss-db) must be finite, got {self.reference_loss_db!r} dB"
-            )
-        if self.reference_loss_db < 0.0:
-            raise ValueError("reference loss must be >= 0 dB")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ValueError("detector efficiency must be in (0, 1]")
+        for flag, length in (
+            ("--length-a/--length-b", self.length_m),
+            ("--ref-length", self.reference_length_m),
+        ):
+            if not length > 0.0:
+                raise ValueError(f"length ({flag}) must be > 0, got {length!r} m")
+        loss, eff = self.reference_loss_db, self.detector_efficiency
+        if not math.isfinite(loss):
+            raise ValueError(f"reference loss (--ref-loss-db) must be finite, got {loss!r} dB")
+        if loss < 0.0:
+            raise ValueError(f"reference loss (--ref-loss-db) must be >= 0 dB, got {loss!r} dB")
+        if not 0.0 < eff <= 1.0:
+            raise ValueError(f"detector efficiency (--eff-a/--eff-b) must be in (0, 1], got {eff!r}")
 
     @property
     def total_loss_db(self) -> float:
@@ -75,11 +78,11 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> int:
     (s_expected - 2) / sqrt((4 - s_expected**2 / 4) / n) >= k_sigma.
     """
     if not s_expected > CLASSICAL_BOUND:
-        raise ValueError("s_expected must exceed the classical bound 2")
+        raise ValueError(f"s_expected (--s-expected) must exceed the classical bound 2, got {s_expected!r}")
     if s_expected > TSIRELSON_BOUND:
         raise ValueError(f"s_expected = {s_expected!r} exceeds the Tsirelson bound 2*sqrt(2)")
     if not k_sigma >= 0.0:
-        raise ValueError("k_sigma must be >= 0")
+        raise ValueError(f"k_sigma (--k-sigma) must be >= 0, got {k_sigma!r}")
     try:
         n = max(1, math.ceil((4.0 - s_expected**2 / 4.0) * (k_sigma / (s_expected - CLASSICAL_BOUND)) ** 2))
     except OverflowError:
@@ -98,7 +101,7 @@ def coincidence_rate(
     if not math.isfinite(pair_rate_hz):
         raise ValueError(f"pair rate (--pair-rate) must be finite, got {pair_rate_hz!r}")
     if not pair_rate_hz > 0.0:
-        raise ValueError("pair rate must be > 0")
+        raise ValueError(f"pair rate (--pair-rate) must be > 0, got {pair_rate_hz!r}")
     if loss_a_db < 0.0 or loss_b_db < 0.0:
         raise ValueError("losses must be >= 0 dB")
     if not (0.0 < eff_a <= 1.0 and 0.0 < eff_b <= 1.0):

@@ -126,8 +126,8 @@ class Arm:
             raise ScenarioError("measurement duration tau_s must be > 0", "tau_s")
         if not self.offset_s >= 0.0:
             raise ScenarioError("measurement offset_s must be >= 0", "offset_s")
-        # The simulator rounds arrival, start and end to integer femtoseconds
-        # and multiplies windows by c; both products must stay finite floats.
+        # bounds.scenario_timing rounds event times to integer femtoseconds and
+        # bounds.critical_speed multiplies windows by c; both must stay finite.
         # This also rejects infinite lengths and times.
         elapsed_s = 0.0
         for field, seconds in (

@@ -1,12 +1,9 @@
-"""Event-timed Monte Carlo of entangled pairs under finite-speed collapse.
+"""Monte Carlo of entangled pairs under a finite-speed collapse model.
 
-A run has one exact integer-femtosecond timeline in the privileged frame,
-shared by all its pairs: photon arrivals, measurement start and end per arm.
-A collapse influence departs from the first-measured arm and travels the
-combined trace-path length of both arms (back through the source) at
-v = v_over_c*c.  The run is "connected", and produces quantum statistics,
-exactly when v_over_c >= :func:`critical_speed`; otherwise a fallback model
-(uncorrelated or local-hidden-variable) supplies the outcomes.
+A run is "connected", and samples quantum statistics, exactly when
+v_over_c >= :func:`moonbell.bounds.critical_speed`, the event model over the
+run's femtosecond timeline; otherwise a fallback model (uncorrelated or
+local-hidden-variable) supplies the outcomes.
 
 A run is thus n independent draws from one fixed 16-cell table (setting
 combination times joint outcome), and its tallies are a single multinomial
@@ -18,12 +15,11 @@ process count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
-from .constants import CONSTANTS, FS_PER_SECOND
-from .scenario import Scenario, arm_length, light_time
+from .bounds import critical_speed
+from .scenario import Scenario
 
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
 _SEED_MASK = (1 << 64) - 1
@@ -53,17 +49,8 @@ class CollapseModel:
 
 
 @dataclass(frozen=True)
-class ArmTiming:
-    """Integer-femtosecond event times for one arm."""
-
-    arrival_fs: int
-    measure_start_fs: int
-    measure_end_fs: int
-
-
-@dataclass(frozen=True)
 class PairRecord:
-    """One traced pair; its timeline is the run's :attr:`SimulationResult.timing`."""
+    """One traced pair; its timeline is :func:`moonbell.bounds.scenario_timing`."""
 
     settings: tuple[float, float]
     outcomes: tuple[int, int]
@@ -71,7 +58,7 @@ class PairRecord:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """One run: every pair shares ``timing`` (emitted at 0 fs) and ``connected``.
+    """One run: every pair shares the scenario's one timeline, hence ``connected``.
 
     ``e_hat``/``counts`` follow the setting order (a,b), (a,b'), (a',b),
     (a',b'); ``s_hat`` is their Bell combination and ``stderr_s`` is
@@ -83,7 +70,6 @@ class SimulationResult:
     s_hat: float
     stderr_s: float
     connected: bool
-    timing: tuple[ArmTiming, ArmTiming]
     records: tuple[PairRecord, ...] = ()
 
 
@@ -93,60 +79,6 @@ class SweepPoint:
     s_hat: float
     stderr_s: float
     connected: bool
-
-
-def _to_fs(seconds: float) -> int:
-    """Nearest integer femtosecond."""
-    return int(round(seconds * FS_PER_SECOND))
-
-
-def scenario_timing(scenario: Scenario) -> tuple[ArmTiming, ArmTiming]:
-    """Arrival and measurement window per arm for an emission at 0 fs."""
-    timings = []
-    for arm in scenario.arms:
-        arrival = _to_fs(light_time(arm.path.length_m))
-        start = arrival + _to_fs(arm.offset_s)
-        end = start + _to_fs(arm.tau_s)
-        timings.append(ArmTiming(arrival, start, end))
-    return (timings[0], timings[1])
-
-
-def _threshold(
-    timing: tuple[ArmTiming, ArmTiming], lengths_m: tuple[float, float], depart_at_end: bool
-) -> float:
-    """Smallest v_over_c whose influence covers L_0 + L_1 within the window; inf if empty."""
-    # Arm with the earlier measurement start emits the influence; ties go to
-    # arm 0 (symmetric timings make the choice irrelevant).
-    first, second = (
-        (timing[0], timing[1])
-        if timing[0].measure_start_fs <= timing[1].measure_start_fs
-        else (timing[1], timing[0])
-    )
-    departure = first.measure_end_fs if depart_at_end else first.measure_start_fs
-    window_fs = second.measure_end_fs - departure
-    if window_fs <= 0:
-        return math.inf
-    total_m = lengths_m[0] + lengths_m[1]
-    v = total_m * FS_PER_SECOND / (CONSTANTS.c * window_fs)
-    # Round up to the first float whose travel time, cross-multiplied, fits
-    # the window, so the quotient's rounding never admits a late influence.
-    while not total_m * FS_PER_SECOND <= v * (CONSTANTS.c * window_fs):
-        v = math.nextafter(v, math.inf)
-    return v
-
-
-def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
-    """Smallest v_over_c (inclusive) at which ``scenario`` is connected.
-
-    v* = (L_0 + L_1) / (c * window), rounded up to the first float whose
-    travel time fits the window (start lag + later measurement duration, in
-    fs); inf for an empty window.  This event model charges the influence
-    L_0 + L_1 within that window, whereas :func:`moonbell.bounds.speed_bound`
-    charges 2 * L_max within tau with simultaneous starts.
-    """
-    timing = scenario_timing(scenario)
-    lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
-    return _threshold(timing, lengths, depart_at_end)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -190,11 +122,10 @@ def simulate(
     if trace_limit < 0:
         raise ValueError(f"trace_limit (--trace) must be >= 0, got {trace_limit}")
     if min(trace_limit, n_pairs) > MAX_TRACE:
-        raise ValueError(f"trace_limit (--trace) must be at most {MAX_TRACE}")
+        raise ValueError(f"trace_limit (--trace) must be at most {MAX_TRACE}, got {trace_limit}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    timing = scenario_timing(scenario)
     is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
 
     # numpy is imported here, not at module scope, so the commands that never
@@ -236,7 +167,6 @@ def simulate(
         s_hat=s_hat,
         stderr_s=stderr,
         connected=is_connected,
-        timing=timing,
         records=records,
     )
 

@@ -12,7 +12,7 @@ import pytest
 
 from moonbell import preset, scenario_to_json
 from moonbell.cli import main
-from moonbell.simulate import scenario_timing
+from moonbell.bounds import scenario_timing
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 REPORT_SCHEMA = json.loads((REPO / "docs" / "run_report_schema.json").read_text())
@@ -660,11 +660,24 @@ def test_linkbudget_arm_shorter_than_reference_names_it(arm, lengths):
           "--pair-rate", "1", "--k-sigma", "inf"), "k_sigma"),
         (("linkbudget", "--length-a", "1km", "--length-b", "1km", "--ref-length", "1km",
           "--pair-rate", "1", "--k-sigma", "6e153"), "(--k-sigma, 6e+153)"),
+        (("linkbudget", "--length-a", "0km", "--length-b", "500km", "--pair-rate", "1e9"),
+         "length (--length-a/--length-b) must be > 0, got 0.0 m"),
+        (("linkbudget", *_UNIT_LINK, "--eff-a", "2"),
+         "detector efficiency (--eff-a/--eff-b) must be in (0, 1], got 2.0"),
+        (("linkbudget", *_UNIT_LINK, "--ref-loss-db", "-1"),
+         "reference loss (--ref-loss-db) must be >= 0 dB, got -1.0 dB"),
+        (("linkbudget", *_UNIT_LINK[:-1], "-1"), "pair rate (--pair-rate) must be > 0, got -1.0"),
+        (("linkbudget", *_UNIT_LINK, "--s-expected", "1.9"),
+         "s_expected (--s-expected) must exceed the classical bound 2, got 1.9"),
+        (("linkbudget", *_UNIT_LINK, "--k-sigma", "-1"), "k_sigma (--k-sigma) must be >= 0, got -1.0"),
+        (("simulate", "gisin1999", "--trace", "200000", "-n", "300000"),
+         "trace_limit (--trace) must be at most 100000, got 200000"),
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, needle):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
     assert needle in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -686,6 +699,8 @@ def test_out_of_range_numbers_exit_2(argv, needle):
         (("scales", "--n-values=1,x"), "--n-values: '1,x'"),
         (("simulate", "gisin1999", "--settings", "1,2,3"),
          "--settings needs four comma-separated angles: a,a',b,b', in '1,2,3'"),
+        (("simulate", "gisin1999", "--settings", "nan,0,0,0"),
+         "analyzer angle (--settings) must be finite, got nan, in 'nan,0,0,0'"),
     ],
 )
 def test_unit_parse_error_names_flag_and_input(argv, needle):

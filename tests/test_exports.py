@@ -19,10 +19,10 @@ _EXPORTS = {
         "quantum_correlation",
     ],
     "bounds": [
-        "EARTH_MOON_WINDOW", "MOND_SCALE_M", "AprioriCandidate", "ObservationWindow",
-        "SpeedBound", "apriori_scales", "cadence_threshold", "classify_scale", "gain_factor",
-        "kappa", "mond_candidate", "proper_time_correction", "speed_bound",
-        "swapping_effective_length",
+        "EARTH_MOON_WINDOW", "MOND_SCALE_M", "AprioriCandidate", "ArmTiming",
+        "ObservationWindow", "SpeedBound", "apriori_scales", "cadence_threshold",
+        "classify_scale", "critical_speed", "gain_factor", "kappa", "mond_candidate",
+        "proper_time_correction", "scenario_timing", "speed_bound", "swapping_effective_length",
     ],
     "claims": [
         "PUBLISHED_CADENCE_THRESHOLD_HZ", "Claim", "all_claims", "claim_by_id", "claims_as_dicts",
@@ -40,8 +40,8 @@ _EXPORTS = {
         "scenario_to_json", "symmetric_scenario", "with_equalized_starts",
     ],
     "simulate": [
-        "ArmTiming", "CollapseModel", "PairRecord", "SimulationResult", "SweepPoint",
-        "critical_speed", "derive_seed", "scenario_timing", "simulate", "sweep_speed",
+        "CollapseModel", "PairRecord", "SimulationResult", "SweepPoint", "derive_seed",
+        "simulate", "sweep_speed",
     ],
 }
 # Submodules exported by name; `simulate` is exported as the function.

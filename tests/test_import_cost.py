@@ -78,3 +78,23 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_EVENT_MODEL_SCRIPT = """
+import sys
+from moonbell import critical_speed, preset, scenario_timing
+
+v_star = critical_speed(preset("earth_moon_case3"))
+assert 0.0 < v_star < float("inf"), v_star
+loaded = [m for m in ("moonbell.simulate", "numpy") if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_event_model_threshold_loads_neither_sampler_nor_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVENT_MODEL_SCRIPT],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

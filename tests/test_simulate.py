@@ -26,7 +26,8 @@ from moonbell import (
     with_equalized_starts,
 )
 from moonbell.constants import FS_PER_SECOND
-from moonbell.simulate import _threshold, derive_seed
+from moonbell.bounds import _threshold
+from moonbell.simulate import derive_seed
 
 C = CONSTANTS.c
 
@@ -290,7 +291,7 @@ def test_pair_records_timing_invariants():
         trace_limit=8,
     )
     assert len(result.records) == 8
-    for arm_index, t in enumerate(result.timing):
+    for arm_index, t in enumerate(scenario_timing(scen)):
         arm = scen.arms[arm_index]
         assert t.arrival_fs == round(arm.path.length_m / C * 1e15)
         assert t.measure_start_fs == t.arrival_fs + round(arm.offset_s * 1e15)

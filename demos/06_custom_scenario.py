@@ -44,8 +44,8 @@ document = {
 scenario = load_scenario(document)
 text = scenario_to_json(scenario)
 assert load_scenario(text) == scenario  # lossless round trip
-print(f"arm lengths: {scenario.arms[0].path.length_m:.1f} m, "
-      f"{scenario.arms[1].path.length_m:.1f} m")
+print(f"arm lengths: {scenario.arms[0].length_m:.1f} m, "
+      f"{scenario.arms[1].length_m:.1f} m")
 
 bound = speed_bound(scenario)
 print(f"speed bound: v_min/c = {bound.v_min_over_c:.4g} (L_max = {bound.l_max_m / 1e3:.1f} km)")

@@ -57,9 +57,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     Site,
-    TracePath,
     UnknownPresetError,
-    arm_length,
     detector_separation,
     light_time,
     load_scenario,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, FS_PER_SECOND
-from .scenario import Scenario, arm_length, light_time
+from .scenario import Scenario, light_time
 
 CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
 
@@ -49,7 +49,7 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     if tau_override_s is not None and not tau_override_s > 0.0:
         raise ValueError(f"tau override (--tau) must be > 0, got {tau_override_s!r} s")
     tau = tau_override_s if tau_override_s is not None else max(a.tau_s for a in scenario.arms)
-    l_max = max(arm_length(scenario, 0), arm_length(scenario, 1))
+    l_max = max(arm.length_m for arm in scenario.arms)
     v_min_over_c = 2.0 * l_max / (tau * CONSTANTS.c)
     if not 0.0 < v_min_over_c < math.inf:
         raise ValueError(f"tau = {tau!r} s puts v_min/c = {v_min_over_c!r} out of float range")
@@ -74,7 +74,7 @@ def scenario_timing(scenario: Scenario) -> tuple[ArmTiming, ArmTiming]:
     """Arrival and measurement window per arm for an emission at 0 fs."""
     timings = []
     for arm in scenario.arms:
-        arrival = _to_fs(light_time(arm.path.length_m))
+        arrival = _to_fs(light_time(arm.length_m))
         start = arrival + _to_fs(arm.offset_s)
         end = start + _to_fs(arm.tau_s)
         timings.append(ArmTiming(arrival, start, end))
@@ -115,7 +115,7 @@ def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
     2 * L_max within tau with simultaneous starts.
     """
     timing = scenario_timing(scenario)
-    lengths = (arm_length(scenario, 0), arm_length(scenario, 1))
+    lengths = (scenario.arms[0].length_m, scenario.arms[1].length_m)
     return _threshold(timing, lengths, depart_at_end)
 
 

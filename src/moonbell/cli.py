@@ -33,7 +33,6 @@ from .scenario import (
     PRESET_NAMES,
     Scenario,
     UnknownPresetError,
-    arm_length,
     detector_separation,
     load_scenario_file,
     preset,
@@ -203,7 +202,7 @@ def render_report(report: dict, fmt: str) -> str:
 def _scenario_summary(scenario: Scenario) -> dict:
     return {
         "name": scenario.name,
-        "arm_lengths_m": [arm_length(scenario, 0), arm_length(scenario, 1)],
+        "arm_lengths_m": [a.length_m for a in scenario.arms],
         "taus_s": [a.tau_s for a in scenario.arms],
         "offsets_s": [a.offset_s for a in scenario.arms],
         "detector_separation_m": detector_separation(scenario),
@@ -355,18 +354,15 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
 def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
     _bind("LinkSpec", "budget_report")
     ref_length = parse_length(args.ref_length, "--ref-length")
-    arm_a, arm_b = [
-        LinkSpec(
-            length_m=parse_length(length, flag),
-            reference_length_m=ref_length,
-            reference_loss_db=args.ref_loss_db,
-            detector_efficiency=eff,
-        )
-        for flag, length, eff in (
-            ("--length-a", args.length_a, args.eff_a),
-            ("--length-b", args.length_b, args.eff_b),
-        )
-    ]
+    arms = []
+    for arm, length, eff in (("a", args.length_a, args.eff_a), ("b", args.length_b, args.eff_b)):
+        try:
+            arms.append(LinkSpec(parse_length(length, f"--length-{arm}"), ref_length, args.ref_loss_db, eff))
+        except ValueError as exc:
+            # A LinkSpec does not know its arm, so its errors name both arms' flags.
+            message = str(exc).replace("--length-a/--length-b", f"--length-{arm}")
+            raise ValueError(message.replace("--eff-a/--eff-b", f"--eff-{arm}")) from None
+    arm_a, arm_b = arms
     inputs = {
         "length_a_m": arm_a.length_m,
         "length_b_m": arm_b.length_m,

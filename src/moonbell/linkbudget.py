@@ -50,6 +50,10 @@ class LinkSpec:
             raise ValueError(f"reference loss (--ref-loss-db) must be >= 0 dB, got {loss!r} dB")
         if not 0.0 < eff <= 1.0:
             raise ValueError(f"detector efficiency (--eff-a/--eff-b) must be in (0, 1], got {eff!r}")
+        try:
+            geometric_loss_db(self.reference_length_m, self.length_m)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (--length-a/--length-b over --ref-length)") from None
 
     @property
     def total_loss_db(self) -> float:
@@ -80,13 +84,16 @@ def pairs_for_significance(s_expected: float, k_sigma: float) -> int:
     if not s_expected > CLASSICAL_BOUND:
         raise ValueError(f"s_expected (--s-expected) must exceed the classical bound 2, got {s_expected!r}")
     if s_expected > TSIRELSON_BOUND:
-        raise ValueError(f"s_expected = {s_expected!r} exceeds the Tsirelson bound 2*sqrt(2)")
+        raise ValueError(f"s_expected (--s-expected) must not exceed the Tsirelson bound 2*sqrt(2), got {s_expected!r}")
     if not k_sigma >= 0.0:
         raise ValueError(f"k_sigma (--k-sigma) must be >= 0, got {k_sigma!r}")
     try:
         n = max(1, math.ceil((4.0 - s_expected**2 / 4.0) * (k_sigma / (s_expected - CLASSICAL_BOUND)) ** 2))
     except OverflowError:
-        raise ValueError("k_sigma / (s_expected - 2) is too large for a finite pair count") from None
+        raise ValueError(
+            f"k_sigma / (s_expected - 2) is too large for a finite pair count, from --k-sigma "
+            f"{k_sigma!r} and --s-expected {s_expected!r}"
+        ) from None
     return n
 
 

@@ -86,42 +86,26 @@ class Site:
 
 
 @dataclass(frozen=True)
-class TracePath:
-    """Ordered straight segments a photon traverses, source first.
+class Arm:
+    """One detector, the photon path reaching it, and its measurement window.
 
-    The same route is the medium along which a finite-speed collapse
-    influence is assumed to propagate, so its total length (not the
-    straight-line endpoint separation) is what enters every bound.
+    ``path`` holds the vertices of the straight segments the photon
+    traverses, source first. The same route is the medium along which a
+    finite-speed collapse influence is assumed to propagate, so its total
+    length (not the straight-line endpoint separation) enters every bound.
     """
 
-    vertices: tuple[Vec, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ScenarioError("a trace path needs at least 2 vertices")
-        for i in range(len(self.vertices) - 1):
-            if math.dist(self.vertices[i], self.vertices[i + 1]) == 0.0:
-                raise ScenarioError(f"consecutive vertices {i} and {i + 1} coincide")
-
-    @property
-    def length_m(self) -> float:
-        """Sum of Euclidean segment lengths, m."""
-        return sum(
-            math.dist(self.vertices[i], self.vertices[i + 1])
-            for i in range(len(self.vertices) - 1)
-        )
-
-
-@dataclass(frozen=True)
-class Arm:
-    """One detector, the photon path reaching it, and its measurement window."""
-
     detector: Site
-    path: TracePath
+    path: tuple[Vec, ...]
     tau_s: float
     offset_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if len(self.path) < 2:
+            raise ScenarioError("a trace path needs at least 2 vertices", "path")
+        for i in range(len(self.path) - 1):
+            if math.dist(self.path[i], self.path[i + 1]) == 0.0:
+                raise ScenarioError(f"consecutive vertices {i} and {i + 1} coincide", "path")
         if not self.tau_s > 0.0:
             raise ScenarioError("measurement duration tau_s must be > 0", "tau_s")
         if not self.offset_s >= 0.0:
@@ -131,13 +115,18 @@ class Arm:
         # This also rejects infinite lengths and times.
         elapsed_s = 0.0
         for field, seconds in (
-            ("path", light_time(self.path.length_m)),
+            ("path", light_time(self.length_m)),
             ("offset_s", self.offset_s),
             ("tau_s", self.tau_s),
         ):
             elapsed_s += seconds
             if not math.isfinite(elapsed_s * FS_PER_SECOND * CONSTANTS.c):
                 raise ScenarioError("event time is too large to represent in femtoseconds", field)
+
+    @property
+    def length_m(self) -> float:
+        """Trace-path length: sum of Euclidean segment lengths, m."""
+        return sum(math.dist(self.path[i], self.path[i + 1]) for i in range(len(self.path) - 1))
 
 
 @dataclass(frozen=True)
@@ -156,25 +145,16 @@ class Scenario:
         if len(self.arms) != 2:
             raise ScenarioError("a scenario has exactly 2 arms", "arms")
         for i, arm in enumerate(self.arms):
-            start = arm.path.vertices[0]
-            end = arm.path.vertices[-1]
-            if math.dist(start, self.source.position) > ENDPOINT_TOLERANCE_M:
+            if math.dist(arm.path[0], self.source.position) > ENDPOINT_TOLERANCE_M:
                 raise ScenarioError(
                     "path must start at the source position (within 1 mm)",
                     f"arms[{i}].path",
                 )
-            if math.dist(end, arm.detector.position) > ENDPOINT_TOLERANCE_M:
+            if math.dist(arm.path[-1], arm.detector.position) > ENDPOINT_TOLERANCE_M:
                 raise ScenarioError(
                     "path must end at the detector position (within 1 mm)",
                     f"arms[{i}].path",
                 )
-
-
-def arm_length(scenario: Scenario, arm_index: int) -> float:
-    """Total trace-path length of one arm, m."""
-    if arm_index not in (0, 1):
-        raise ValueError(f"arm_index must be 0 or 1, got {arm_index}")
-    return scenario.arms[arm_index].path.length_m
 
 
 def detector_separation(scenario: Scenario) -> float:
@@ -199,8 +179,8 @@ def _two_arm_scenario(
     """Arm A runs straight from the source to ``det_a``; arm B reaches
     ``det_b`` by way of ``mirrors_b``, in order."""
     arms = (
-        Arm(det_a, TracePath((source.position, det_a.position)), DEFAULT_TAU_S),
-        Arm(det_b, TracePath((source.position, *mirrors_b, det_b.position)), DEFAULT_TAU_S),
+        Arm(det_a, (source.position, det_a.position), DEFAULT_TAU_S),
+        Arm(det_b, (source.position, *mirrors_b, det_b.position), DEFAULT_TAU_S),
     )
     return Scenario(name=name, source=source, arms=arms)
 
@@ -292,7 +272,7 @@ def with_equalized_starts(scenario: Scenario) -> Scenario:
     After equalization both measurements start when the slower photon
     arrives, which removes the light-time head start of the shorter arm.
     """
-    arrivals = [light_time(arm.path.length_m) + arm.offset_s for arm in scenario.arms]
+    arrivals = [light_time(arm.length_m) + arm.offset_s for arm in scenario.arms]
     latest = max(arrivals)
     arms = tuple(
         replace(arm, offset_s=arm.offset_s + (latest - arrival))
@@ -348,10 +328,9 @@ def _arm_from_dict(obj: Any, field: str) -> Arm:
     tau_s = _as_number(obj["tau_s"], f"{field}.tau_s")
     offset_s = _as_number(obj.get("offset_s", 0.0), f"{field}.offset_s")
     try:
-        return Arm(detector, TracePath(vertices), tau_s, offset_s)
+        return Arm(detector, vertices, tau_s, offset_s)
     except ScenarioError as exc:
-        # Path errors carry no field of their own.
-        raise ScenarioError(exc.reason, f"{field}.{exc.field or 'path'}") from exc
+        raise ScenarioError(exc.reason, f"{field}.{exc.field}") from exc
 
 
 def scenario_from_dict(document: dict) -> Scenario:
@@ -385,7 +364,11 @@ def load_scenario(document: str | dict) -> Scenario:
 
 def load_scenario_file(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return load_scenario(text)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -396,7 +379,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "arms": [
             {
                 "detector": {"name": a.detector.name, "position": list(a.detector.position)},
-                "path": [list(v) for v in a.path.vertices],
+                "path": [list(v) for v in a.path],
                 "tau_s": a.tau_s,
                 "offset_s": a.offset_s,
             }

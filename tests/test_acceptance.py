@@ -146,7 +146,7 @@ def test_criterion_05_threshold_behavior():
 def test_criterion_06_natural_timing_connects_at_light_speed():
     scen = preset("earth_moon_case3")
     v_star = critical_speed(scen)
-    l_long = scen.arms[1].path.length_m
+    l_long = scen.arms[1].length_m
     derived = l_long / (l_long + CONSTANTS.c * scen.arms[1].tau_s)
     assert v_star < 1.0
     assert v_star == pytest.approx(derived, rel=1e-6)

@@ -85,6 +85,16 @@ def test_validate_good_and_bad_files(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("command", [("validate",), ("simulate", "-n", "100")])
+def test_scenario_file_not_utf8_names_the_file(tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    proc = run_cli(command[0], str(path), *command[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_presets_lists_all():
     report = report_of(run_cli("presets", check=True))
     names = [row["name"] for row in report["results"]["presets"]]
@@ -661,9 +671,9 @@ def test_linkbudget_arm_shorter_than_reference_names_it(arm, lengths):
         (("linkbudget", "--length-a", "1km", "--length-b", "1km", "--ref-length", "1km",
           "--pair-rate", "1", "--k-sigma", "6e153"), "(--k-sigma, 6e+153)"),
         (("linkbudget", "--length-a", "0km", "--length-b", "500km", "--pair-rate", "1e9"),
-         "length (--length-a/--length-b) must be > 0, got 0.0 m"),
+         "length (--length-a) must be > 0, got 0.0 m"),
         (("linkbudget", *_UNIT_LINK, "--eff-a", "2"),
-         "detector efficiency (--eff-a/--eff-b) must be in (0, 1], got 2.0"),
+         "detector efficiency (--eff-a) must be in (0, 1], got 2.0"),
         (("linkbudget", *_UNIT_LINK, "--ref-loss-db", "-1"),
          "reference loss (--ref-loss-db) must be >= 0 dB, got -1.0 dB"),
         (("linkbudget", *_UNIT_LINK[:-1], "-1"), "pair rate (--pair-rate) must be > 0, got -1.0"),
@@ -672,6 +682,24 @@ def test_linkbudget_arm_shorter_than_reference_names_it(arm, lengths):
         (("linkbudget", *_UNIT_LINK, "--k-sigma", "-1"), "k_sigma (--k-sigma) must be >= 0, got -1.0"),
         (("simulate", "gisin1999", "--trace", "200000", "-n", "300000"),
          "trace_limit (--trace) must be at most 100000, got 200000"),
+        (("linkbudget", "--length-a", "500km", "--length-b", "0km", "--pair-rate", "1e9"),
+         "length (--length-b) must be > 0, got 0.0 m"),
+        (("linkbudget", *_UNIT_LINK, "--eff-b", "0"),
+         "detector efficiency (--eff-b) must be in (0, 1], got 0.0"),
+        (("linkbudget", *_UNIT_LINK, "--length-b", "inf"),
+         "length ratio inf m / 1000.0 m is out of range (--length-b over --ref-length)"),
+        (("linkbudget", *_UNIT_LINK, "--ref-length", "inf"),
+         "length ratio 1000.0 m / inf m is out of range (--length-a over --ref-length)"),
+        (("linkbudget", *_UNIT_LINK, "--s-expected", "3"),
+         "s_expected (--s-expected) must not exceed the Tsirelson bound 2*sqrt(2), got 3.0"),
+        (("linkbudget", *_UNIT_LINK, "--s-expected", "inf"),
+         "s_expected (--s-expected) must not exceed the Tsirelson bound 2*sqrt(2), got inf"),
+        (("linkbudget", *_UNIT_LINK, "--k-sigma", "1e300"),
+         "k_sigma / (s_expected - 2) is too large for a finite pair count, from --k-sigma 1e+300 "
+         "and --s-expected 2.8284271247461903"),
+        (("linkbudget", *_UNIT_LINK, "--k-sigma", "inf"),
+         "k_sigma / (s_expected - 2) is too large for a finite pair count, from --k-sigma inf "
+         "and --s-expected 2.8284271247461903"),
     ],
 )
 def test_out_of_range_numbers_exit_2(argv, needle):

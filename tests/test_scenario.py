@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.spatial.transform import Rotation
 
 from moonbell import (
@@ -11,10 +12,9 @@ from moonbell import (
     PRESET_NAMES,
     Scenario,
     ScenarioError,
+    Arm,
     Site,
-    TracePath,
     UnknownPresetError,
-    arm_length,
     detector_separation,
     light_time,
     load_scenario,
@@ -43,30 +43,30 @@ def test_preset_names_complete():
 
 def test_gisin_arms_are_5_3_km_each():
     s = preset("gisin1999")
-    assert arm_length(s, 0) == pytest.approx(5300.0, rel=1e-12)
-    assert arm_length(s, 1) == pytest.approx(5300.0, rel=1e-12)
+    assert s.arms[0].length_m == pytest.approx(5300.0, rel=1e-12)
+    assert s.arms[1].length_m == pytest.approx(5300.0, rel=1e-12)
     assert detector_separation(s) == pytest.approx(10600.0, rel=1e-12)
 
 
 def test_cao_arms_700km_and_cities_1203km_apart():
     s = preset("cao2017")
-    assert arm_length(s, 0) == pytest.approx(700e3, rel=1e-9)
-    assert arm_length(s, 1) == pytest.approx(700e3, rel=1e-9)
+    assert s.arms[0].length_m == pytest.approx(700e3, rel=1e-9)
+    assert s.arms[1].length_m == pytest.approx(700e3, rel=1e-9)
     assert detector_separation(s) == pytest.approx(1203e3, rel=1e-12)
 
 
 def test_earth_moon_long_arm_lengths():
-    assert arm_length(preset("earth_moon_case1"), 1) == pytest.approx(3.844e8, rel=1e-12)
+    assert preset("earth_moon_case1").arms[1].length_m == pytest.approx(3.844e8, rel=1e-12)
     # mirror bounce doubles the distance
-    assert arm_length(preset("earth_moon_case2"), 1) == pytest.approx(7.688e8, rel=1e-9)
-    assert arm_length(preset("earth_moon_case3"), 1) == pytest.approx(3.844e8, rel=1e-12)
+    assert preset("earth_moon_case2").arms[1].length_m == pytest.approx(7.688e8, rel=1e-9)
+    assert preset("earth_moon_case3").arms[1].length_m == pytest.approx(3.844e8, rel=1e-12)
 
 
 def test_lagrange_and_mars_long_arms():
     lag = preset("lagrange_l4l5")
-    assert arm_length(lag, 0) == pytest.approx(20 * 3.844e8, rel=1e-9)
-    assert arm_length(lag, 1) == pytest.approx(20 * 3.844e8, rel=1e-9)
-    assert arm_length(preset("mars"), 1) == pytest.approx(2.25e11, rel=1e-12)
+    assert lag.arms[0].length_m == pytest.approx(20 * 3.844e8, rel=1e-9)
+    assert lag.arms[1].length_m == pytest.approx(20 * 3.844e8, rel=1e-9)
+    assert preset("mars").arms[1].length_m == pytest.approx(2.25e11, rel=1e-12)
 
 
 def test_unknown_preset():
@@ -79,7 +79,7 @@ def test_round_trip_preserves_arm_lengths(name):
     s = preset(name)
     back = load_scenario(scenario_to_json(s))
     for i in (0, 1):
-        assert abs(arm_length(back, i) - arm_length(s, i)) <= 1e-6  # 1 um
+        assert abs(back.arms[i].length_m - s.arms[i].length_m) <= 1e-6  # 1 um
     assert back == s  # exact dataclass round trip
 
 
@@ -112,7 +112,7 @@ def test_arm_length_invariant_under_isometries():
             arm["path"] = [list(move(v)) for v in arm["path"]]
         moved = scenario_from_dict(doc)
         for i in (0, 1):
-            assert abs(arm_length(moved, i) - arm_length(s, i)) <= 1e-6
+            assert abs(moved.arms[i].length_m - s.arms[i].length_m) <= 1e-6
 
 
 def test_light_time_values():
@@ -129,16 +129,23 @@ def test_light_time_round_trip_precision():
         assert abs(light_time(length) * CONSTANTS.c - length) <= 1e-12 * length
 
 
-def test_arm_index_out_of_range():
-    s = preset("gisin1999")
-    with pytest.raises(ValueError):
-        arm_length(s, 2)
-
-
 def test_single_segment_arm_length():
     doc = _valid_doc()
     s = load_scenario(doc)
-    assert arm_length(s, 0) == pytest.approx(10_000.0, rel=1e-12)
+    assert s.arms[0].length_m == pytest.approx(10_000.0, rel=1e-12)
+
+
+_COORD = st.floats(-1e12, 1e12, allow_nan=False)
+
+
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=2, max_size=6))
+def test_arm_length_sums_segments_and_path_writes_back(vertices):
+    path = tuple(vertices)
+    assume(all(math.dist(a, b) > 0.0 for a, b in zip(path, path[1:])))
+    arm = Arm(Site("detector", path[-1]), path, 1e-9)
+    assert arm.length_m == sum(math.dist(a, b) for a, b in zip(path, path[1:]))
+    document = scenario_to_dict(Scenario("generated", Site("source", path[0]), (arm, arm)))
+    assert [tuple(v) for v in document["arms"][0]["path"]] == list(path)
 
 
 def _valid_doc():
@@ -233,7 +240,7 @@ def test_scenarios_are_immutable():
 
 def test_symmetric_scenario_geometry():
     s = symmetric_scenario(3.844e8)
-    assert arm_length(s, 0) == arm_length(s, 1) == pytest.approx(3.844e8, rel=1e-12)
+    assert s.arms[0].length_m == s.arms[1].length_m == pytest.approx(3.844e8, rel=1e-12)
     assert detector_separation(s) == pytest.approx(2 * 3.844e8, rel=1e-12)
 
 
@@ -321,7 +328,7 @@ def test_astronomically_long_path_loads():
     # Squaring each coordinate difference would overflow at this scale.
     doc = _valid_doc()
     _long_arm(1e160)(doc)
-    assert arm_length(load_scenario(doc), 0) == 1e160
+    assert load_scenario(doc).arms[0].length_m == 1e160
 
 
 def test_constructors_reject_what_no_document_reaches():
@@ -330,8 +337,8 @@ def test_constructors_reject_what_no_document_reaches():
         Scenario("one_arm", Site("src", (0.0, 0.0, 0.0)), (arm,))
     assert (str(err.value), err.value.field) == ("arms: a scenario has exactly 2 arms", "arms")
     with pytest.raises(ScenarioError) as err:
-        TracePath(((0.0, 0.0, 0.0),))
-    assert (str(err.value), err.value.field) == ("a trace path needs at least 2 vertices", None)
+        Arm(arm.detector, ((0.0, 0.0, 0.0),), 1e-12)
+    assert (str(err.value), err.value.field) == ("path: a trace path needs at least 2 vertices", "path")
     with pytest.raises(ScenarioError) as err:
         Site("far", (math.inf, 0.0, 0.0))
     assert (str(err.value), err.value.field) == ("far: site position must be finite", "far")

@@ -14,8 +14,6 @@ from moonbell import (
     CollapseModel,
     Scenario,
     Site,
-    TracePath,
-    arm_length,
     critical_speed,
     preset,
     scenario_timing,
@@ -111,7 +109,7 @@ def test_critical_speed_equalized_matches_bound_up_to_length_ratio():
     for name in PRESET_NAMES:
         scen = preset(name)
         bound = speed_bound(scen)
-        total = arm_length(scen, 0) + arm_length(scen, 1)
+        total = scen.arms[0].length_m + scen.arms[1].length_m
         expected = bound.v_min_over_c * total / (2 * bound.l_max_m)
         v_star = critical_speed(with_equalized_starts(scen))
         assert v_star == pytest.approx(expected, rel=1e-3), name
@@ -136,7 +134,7 @@ def test_critical_speed_equalized_matches_bound_on_generated_geometries(source, 
         norm = math.hypot(*direction)
         assume(norm > 0.1)
         detector = tuple(x + 10.0**log_length * d / norm for x, d in zip(source, direction))
-        built.append(Arm(Site(f"detector_{i}", detector), TracePath((source, detector)), tau))
+        built.append(Arm(Site(f"detector_{i}", detector), (source, detector), tau))
     scen = with_equalized_starts(Scenario("generated", Site("source", source), tuple(built)))
 
     first, second = sorted(scenario_timing(scen), key=lambda t: t.measure_start_fs)
@@ -145,11 +143,11 @@ def test_critical_speed_equalized_matches_bound_on_generated_geometries(source, 
     # The gap comes from three round() calls (0.5 fs each), the float-second
     # subtraction in with_equalized_starts (half an ulp of the later arrival)
     # and three products with 1e15 (each within 0.5625 of that ulp, in fs).
-    latest_s = max(arm.path.length_m / C for arm in scen.arms)
+    latest_s = max(arm.length_m / C for arm in scen.arms)
     assert gap_fs <= 1.5 + 2.1875 * math.ulp(latest_s) * FS_PER_SECOND
 
     bound = speed_bound(scen)
-    total = arm_length(scen, 0) + arm_length(scen, 1)
+    total = scen.arms[0].length_m + scen.arms[1].length_m
     expected = bound.v_min_over_c * total / (2 * bound.l_max_m)
     assert critical_speed(scen) == pytest.approx(expected, rel=(gap_fs + 1) / window_fs)
 
@@ -159,7 +157,7 @@ def test_critical_speed_natural_timing_just_below_light_speed():
     # start of the short arm covers almost the whole influence path.
     scen = preset("earth_moon_case3")
     v_star = critical_speed(scen)
-    l_long = scen.arms[1].path.length_m
+    l_long = scen.arms[1].length_m
     expected = l_long / (l_long + C * 5e-12)
     assert v_star < 1.0
     assert v_star == pytest.approx(expected, rel=1e-6)
@@ -293,7 +291,7 @@ def test_pair_records_timing_invariants():
     assert len(result.records) == 8
     for arm_index, t in enumerate(scenario_timing(scen)):
         arm = scen.arms[arm_index]
-        assert t.arrival_fs == round(arm.path.length_m / C * 1e15)
+        assert t.arrival_fs == round(arm.length_m / C * 1e15)
         assert t.measure_start_fs == t.arrival_fs + round(arm.offset_s * 1e15)
         assert t.measure_end_fs == t.measure_start_fs + round(arm.tau_s * 1e15)
     assert result.connected is True

@@ -12,8 +12,7 @@ uncorrelated one, has a joint outcome table (:func:`outcome_probabilities`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 CorrelationFn = Callable[[float, float], float]
 
@@ -40,22 +39,26 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if folded == math.pi else folded
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    """The four analyzer angles of one Bell test, radians.
-
-    Defaults are the standard maximal-violation choice a=0, a'=pi/4,
-    b=pi/8, b'=3pi/8.
-    """
-
+class _ChshSettingsFields(NamedTuple):
     a: float = 0.0
     a_prime: float = math.pi / 4.0
     b: float = math.pi / 8.0
     b_prime: float = 3.0 * math.pi / 8.0
 
-    def __post_init__(self) -> None:
-        for field in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, field, canonical_angle(getattr(self, field)))
+
+class ChshSettings(_ChshSettingsFields):
+    """The four analyzer angles of one Bell test, radians, each folded by
+    :func:`canonical_angle`.
+
+    Defaults are the standard maximal-violation choice a=0, a'=pi/4,
+    b=pi/8, b'=3pi/8.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> ChshSettings:
+        angles = super().__new__(cls, *args, **kwargs)
+        return super().__new__(cls, *map(canonical_angle, angles))
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """The four measured angle combinations, in the order used by

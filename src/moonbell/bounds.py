@@ -18,7 +18,7 @@ the dimensional-analysis survey of a-priori speed/distance scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CONSTANTS, FS_PER_SECOND
 from .scenario import Scenario, light_time
@@ -26,8 +26,7 @@ from .scenario import Scenario, light_time
 CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
 
 
-@dataclass(frozen=True)
-class SpeedBound:
+class SpeedBound(NamedTuple):
     """Result of the 2*L_max/tau rule, speed in units of c."""
 
     l_max_m: float
@@ -56,8 +55,7 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     return SpeedBound(l_max_m=l_max, tau_s=tau, v_min_over_c=v_min_over_c)
 
 
-@dataclass(frozen=True)
-class ArmTiming:
+class ArmTiming(NamedTuple):
     """Integer-femtosecond event times for one arm."""
 
     arrival_fs: int
@@ -131,9 +129,14 @@ def swapping_effective_length(path_a_to_b_via_source_m: float, path_c_to_d_via_s
     return 2.0 * max(path_a_to_b_via_source_m, path_c_to_d_via_source_m)
 
 
-def gain_factor(scenario_new: Scenario, scenario_ref: Scenario) -> float:
-    """Ratio of the two scenarios' speed bounds (length ratio at equal tau)."""
-    return speed_bound(scenario_new).v_min_over_c / speed_bound(scenario_ref).v_min_over_c
+def gain_factor(scenario_new: Scenario, scenario_ref: Scenario, tau_s: float | None = None) -> float:
+    """Ratio of the two scenarios' speed bounds, both at ``tau_s``.
+
+    ``tau_s`` is passed to :func:`speed_bound` for both scenarios, so a
+    given tau makes the gain the ratio of their longest arms; by default
+    each scenario keeps its own measurement duration.
+    """
+    return speed_bound(scenario_new, tau_s).v_min_over_c / speed_bound(scenario_ref, tau_s).v_min_over_c
 
 
 def proper_time_correction(gm_m3_s2: float, radius_m: float) -> float:
@@ -162,14 +165,18 @@ def cadence_threshold(correction_a: float, correction_b: float) -> float:
     return 1.0 / worst
 
 
-@dataclass(frozen=True)
-class ObservationWindow:
-    """Distance scales an experiment can probe, m."""
-
+class _ObservationWindowFields(NamedTuple):
     d_min_m: float
     d_max_m: float
 
-    def __post_init__(self) -> None:
+
+class ObservationWindow(_ObservationWindowFields):
+    """Distance scales an experiment can probe, m."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> ObservationWindow:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.d_min_m >= 0.0:
             raise ValueError(f"window floor (--d-min) must be >= 0 m, got {self.d_min_m!r}")
         if not self.d_max_m > self.d_min_m:
@@ -177,6 +184,7 @@ class ObservationWindow:
                 f"window ceiling (--d-max) must be > the floor (--d-min, {self.d_min_m!r} m), "
                 f"got {self.d_max_m!r}"
             )
+        return self
 
 
 # What an Earth-Moon experiment can see: roughly centimetres up to ten times
@@ -204,8 +212,14 @@ def kappa(mass_kg: float = CONSTANTS.m_proton) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class AprioriCandidate:
+class _AprioriCandidateFields(NamedTuple):
+    n: int | None
+    v_over_c: float | None
+    d_m: float
+    classification: str
+
+
+class AprioriCandidate(_AprioriCandidateFields):
     """One dimensional-analysis candidate: speed V, distance scale D.
 
     ``n`` is the power of kappa applied to the base values (V = c,
@@ -215,16 +229,15 @@ class AprioriCandidate:
     fixes no speed.
     """
 
-    n: int | None
-    v_over_c: float | None
-    d_m: float
-    classification: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> AprioriCandidate:
+        self = super().__new__(cls, *args, **kwargs)
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"bad classification {self.classification!r}")
         if self.v_over_c is not None and not self.v_over_c > 0.0:
             raise ValueError("v_over_c must be > 0")
+        return self
 
 
 def classify_scale(d_m: float, window: ObservationWindow = EARTH_MOON_WINDOW) -> str:

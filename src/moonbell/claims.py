@@ -12,7 +12,7 @@ Reports embed the full ledger so the two columns can always be compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bell import DEFAULT_SETTINGS, chsh_value, quantum_correlation
 from .bounds import cadence_threshold, gain_factor, kappa, proper_time_correction, speed_bound
@@ -35,8 +35,7 @@ PUBLISHED_EARTH_MOON_DISTANCE_M = 3.9e8
 CSV_HEADER = "claim_id,paper_location,paper_value,computed_value,relative_difference"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One printed figure and the value recomputed from the stated formula."""
 
     claim_id: str
@@ -198,8 +197,7 @@ def all_claims() -> tuple[Claim, ...]:
 
 def claims_as_dicts() -> list[dict]:
     """Ledger rows as plain dicts (report embedding): every field plus ``relative_difference``."""
-    # vars(), not dataclasses.asdict(), whose deep copy of scalars is ~10x slower.
-    return [{**vars(c), "relative_difference": c.relative_difference} for c in all_claims()]
+    return [{**c._asdict(), "relative_difference": c.relative_difference} for c in all_claims()]
 
 
 def claims_csv() -> str:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -23,6 +22,7 @@ from .bounds import (
     ObservationWindow,
     apriori_scales,
     critical_speed,
+    gain_factor,
     mond_candidate,
     scenario_timing,
     speed_bound,
@@ -214,10 +214,11 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict, dict]:
     tau = parse_duration(args.tau, "--tau") if args.tau is not None else None
     bound = speed_bound(scenario, tau)
     # Gains compared at the same resolved tau, so they reduce to length ratios.
-    gain_gisin = bound.v_min_over_c / speed_bound(preset("gisin1999"), bound.tau_s).v_min_over_c
-    gain_cao = bound.v_min_over_c / speed_bound(preset("cao2017"), bound.tau_s).v_min_over_c
+    gains = {
+        f"gain_vs_{ref}": gain_factor(scenario, preset(ref), bound.tau_s) for ref in ("gisin1999", "cao2017")
+    }
     inputs = {"scenario": _scenario_summary(scenario), "tau_s": bound.tau_s}
-    return inputs, {**asdict(bound), "gain_vs_gisin1999": gain_gisin, "gain_vs_cao2017": gain_cao}
+    return inputs, {**bound._asdict(), **gains}
 
 
 def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict]:
@@ -233,7 +234,7 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
         "fallback": args.fallback,
         "depart_at_end": args.depart_at_end,
         "equalize_starts": args.equalize_starts,
-        "settings": [settings.a, settings.a_prime, settings.b, settings.b_prime],
+        "settings": list(settings),
         "workers": args.workers,
     }
     return scenario, settings, inputs
@@ -267,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     }
     if result.records:
         # Every traced pair shares the run's one timeline, printed once here.
-        results["timing"] = {"emission_fs": 0, "arms": [asdict(t) for t in scenario_timing(scenario)]}
+        results["timing"] = {"emission_fs": 0, "arms": [t._asdict() for t in scenario_timing(scenario)]}
         results["trace"] = [
             {
                 "connected": result.connected,
@@ -398,7 +399,7 @@ def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
         "mass_kg": args.mass,
         "window_m": {"d_min": window.d_min_m, "d_max": window.d_max_m},
     }
-    return inputs, {"rows": [asdict(r) for r in rows]}
+    return inputs, {"rows": [r._asdict() for r in rows]}
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict]:

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
+
+# A type that checks its fields is a NamedTuple of the fields plus a subclass
+# whose __new__ builds the tuple and then checks (or canonicalizes) it, so
+# every constructor call validates. _replace and _make skip __new__, so a
+# changed copy is built through the constructor instead.
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Reference values (CODATA 2018 / IAU) used by every module.
-
-    ``c`` is exact by definition of the metre; everything else carries the
-    usual measurement uncertainty, which is far below any tolerance used in
-    this package.
-    """
-
+class _PhysicalConstantsFields(NamedTuple):
     c: float = 299_792_458.0                 # speed of light, m/s (exact)
     G: float = 6.674_30e-11                  # gravitational constant, m^3/(kg s^2)
     hbar: float = 1.054_571_817e-34          # reduced Planck constant, J s
@@ -26,13 +23,25 @@ class PhysicalConstants:
     kpc: float = 3.085_677_581_491_3673e19   # kiloparsec, m
     planck_length: float = 1.616_255e-35     # Planck length, m
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+
+class PhysicalConstants(_PhysicalConstantsFields):
+    """Reference values (CODATA 2018 / IAU) used by every module.
+
+    ``c`` is exact by definition of the metre; everything else carries the
+    usual measurement uncertainty, which is far below any tolerance used in
+    this package.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> PhysicalConstants:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not value > 0.0:
-                raise ValueError(f"constant {f.name} must be strictly positive")
+                raise ValueError(f"constant {name} must be strictly positive")
         if self.c != 299_792_458.0:
             raise ValueError("c is exact and must equal 299792458 m/s")
+        return self
 
 
 CONSTANTS = PhysicalConstants()

@@ -9,14 +9,20 @@ from L_ref to L then adds 20*log10(L/L_ref) dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bell import CLASSICAL_BOUND, TSIRELSON_BOUND
 from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class _LinkSpecFields(NamedTuple):
+    length_m: float
+    reference_length_m: float
+    reference_loss_db: float
+    detector_efficiency: float = 1.0
+
+
+class LinkSpec(_LinkSpecFields):
     """One optical arm: its length and a measured reference operating point.
 
     Parameters
@@ -31,12 +37,10 @@ class LinkSpec:
         End-detector efficiency, in (0, 1].
     """
 
-    length_m: float
-    reference_length_m: float
-    reference_loss_db: float
-    detector_efficiency: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: float, **kwargs: float) -> LinkSpec:
+        self = super().__new__(cls, *args, **kwargs)
         for flag, length in (
             ("--length-a/--length-b", self.length_m),
             ("--ref-length", self.reference_length_m),
@@ -54,6 +58,7 @@ class LinkSpec:
             geometric_loss_db(self.reference_length_m, self.length_m)
         except ValueError as exc:
             raise ValueError(f"{exc} (--length-a/--length-b over --ref-length)") from None
+        return self
 
     @property
     def total_loss_db(self) -> float:

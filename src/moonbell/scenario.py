@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND
 
@@ -73,20 +72,31 @@ def _as_vec(value: Any, field: str) -> Vec:
     return vec
 
 
-@dataclass(frozen=True)
-class Site:
-    """A named location, Cartesian metres in the privileged frame."""
-
+class _SiteFields(NamedTuple):
     name: str
     position: Vec
 
-    def __post_init__(self) -> None:
+
+class Site(_SiteFields):
+    """A named location, Cartesian metres in the privileged frame."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Site:
+        self = super().__new__(cls, *args, **kwargs)
         if any(not math.isfinite(x) for x in self.position):
             raise ScenarioError("site position must be finite", self.name)
+        return self
 
 
-@dataclass(frozen=True)
-class Arm:
+class _ArmFields(NamedTuple):
+    detector: Site
+    path: tuple[Vec, ...]
+    tau_s: float
+    offset_s: float = 0.0
+
+
+class Arm(_ArmFields):
     """One detector, the photon path reaching it, and its measurement window.
 
     ``path`` holds the vertices of the straight segments the photon
@@ -95,12 +105,10 @@ class Arm:
     length (not the straight-line endpoint separation) enters every bound.
     """
 
-    detector: Site
-    path: tuple[Vec, ...]
-    tau_s: float
-    offset_s: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> Arm:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.path) < 2:
             raise ScenarioError("a trace path needs at least 2 vertices", "path")
         for i in range(len(self.path) - 1):
@@ -122,6 +130,7 @@ class Arm:
             elapsed_s += seconds
             if not math.isfinite(elapsed_s * FS_PER_SECOND * CONSTANTS.c):
                 raise ScenarioError("event time is too large to represent in femtoseconds", field)
+        return self
 
     @property
     def length_m(self) -> float:
@@ -129,19 +138,23 @@ class Arm:
         return sum(math.dist(self.path[i], self.path[i + 1]) for i in range(len(self.path) - 1))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A complete two-arm experiment geometry.
-
-    Immutable after construction; safe to share between threads/processes.
-    """
-
+class _ScenarioFields(NamedTuple):
     name: str
     source: Site
     arms: tuple[Arm, Arm]
     frame_note: str = "coordinates at rest relative to the laboratory"
 
-    def __post_init__(self) -> None:
+
+class Scenario(_ScenarioFields):
+    """A complete two-arm experiment geometry.
+
+    Immutable after construction; safe to share between threads/processes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Scenario:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.arms) != 2:
             raise ScenarioError("a scenario has exactly 2 arms", "arms")
         for i, arm in enumerate(self.arms):
@@ -155,6 +168,7 @@ class Scenario:
                     "path must end at the detector position (within 1 mm)",
                     f"arms[{i}].path",
                 )
+        return self
 
 
 def detector_separation(scenario: Scenario) -> float:
@@ -274,11 +288,12 @@ def with_equalized_starts(scenario: Scenario) -> Scenario:
     """
     arrivals = [light_time(arm.length_m) + arm.offset_s for arm in scenario.arms]
     latest = max(arrivals)
+    # Through the constructors, not _replace, so the delayed arms are checked again.
     arms = tuple(
-        replace(arm, offset_s=arm.offset_s + (latest - arrival))
+        Arm(arm.detector, arm.path, arm.tau_s, arm.offset_s + (latest - arrival))
         for arm, arrival in zip(scenario.arms, arrivals)
     )
-    return replace(scenario, arms=arms)
+    return Scenario(scenario.name, scenario.source, arms, scenario.frame_note)
 
 
 # --- document I/O ---------------------------------------------------------
@@ -345,7 +360,7 @@ def scenario_from_dict(document: dict) -> Scenario:
     if not isinstance(arms_raw, list) or len(arms_raw) != 2:
         raise ScenarioError("arms must be a list of exactly 2 entries", "arms")
     arms = tuple(_arm_from_dict(a, f"arms[{i}]") for i, a in enumerate(arms_raw))
-    default_note = Scenario.__dataclass_fields__["frame_note"].default
+    default_note = Scenario._field_defaults["frame_note"]
     frame_note = _as_str(document.get("frame_note", default_note), "frame_note")
     return Scenario(name=name, source=source, arms=arms, frame_note=frame_note)
 

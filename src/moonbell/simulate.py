@@ -15,7 +15,7 @@ process count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
 from .bounds import critical_speed
@@ -28,8 +28,13 @@ _SEED_MASK = (1 << 64) - 1
 MAX_TRACE = 100_000
 
 
-@dataclass(frozen=True)
-class CollapseModel:
+class _CollapseModelFields(NamedTuple):
+    v_over_c: float
+    fallback: str = "uncorrelated"
+    depart_at_end: bool = False
+
+
+class CollapseModel(_CollapseModelFields):
     """Finite influence speed plus the statistics of disconnected pairs.
 
     ``depart_at_end`` switches the influence departure from the start of
@@ -37,27 +42,25 @@ class CollapseModel:
     off).
     """
 
-    v_over_c: float
-    fallback: str = "uncorrelated"
-    depart_at_end: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> CollapseModel:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.v_over_c > 0.0:
             raise ValueError(f"v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got {self.v_over_c!r}")
         if self.fallback not in FALLBACKS:
             raise ValueError(f"fallback must be one of {FALLBACKS}")
+        return self
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     """One traced pair; its timeline is :func:`moonbell.bounds.scenario_timing`."""
 
     settings: tuple[float, float]
     outcomes: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """One run: every pair shares the scenario's one timeline, hence ``connected``.
 
     ``e_hat``/``counts`` follow the setting order (a,b), (a,b'), (a',b),
@@ -73,8 +76,7 @@ class SimulationResult:
     records: tuple[PairRecord, ...] = ()
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     v_over_c: float
     s_hat: float
     stderr_s: float

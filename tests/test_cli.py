@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import pathlib
@@ -57,6 +56,16 @@ def test_bound_tau_override():
     proc = run_cli("bound", "gisin1999", "--tau", "10ps", check=True)
     report = report_of(proc)
     assert report["results"]["v_min_over_c"] == pytest.approx(3.536e6, rel=1e-3)
+
+
+def test_bound_gains_at_a_tau_override_are_length_ratios():
+    # Every preset measures for 5 ps, so only an override tells a gain taken
+    # at the resolved tau from one taken at each scenario's own tau.
+    results = report_of(run_cli("bound", "earth_moon_case3", "--tau", "10ps", check=True))["results"]
+    assert results["tau_s"] == 1e-11
+    for ref in ("gisin1999", "cao2017"):
+        ref_l_max = max(arm.length_m for arm in preset(ref).arms)
+        assert results[f"gain_vs_{ref}"] == pytest.approx(results["l_max_m"] / ref_l_max, rel=1e-15)
 
 
 def test_bound_accepts_scenario_file(tmp_path):
@@ -140,7 +149,7 @@ def test_traced_report_prints_timeline_once(fmt):
     args = ("simulate", "earth_moon_case3", "-n", "1000", "--seed", "2", "--format", fmt)
     traced = run_cli(*args, "--trace", "3", check=True)
     plain = run_cli(*args, check=True)
-    arms = [dataclasses.asdict(t) for t in scenario_timing(preset("earth_moon_case3"))]
+    arms = [t._asdict() for t in scenario_timing(preset("earth_moon_case3"))]
     record_keys = {"connected", "settings", "outcomes"}
     if fmt == "json":
         results = report_of(traced)["results"]

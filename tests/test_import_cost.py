@@ -1,4 +1,5 @@
-"""Each command loads only the modules it runs; only sampling loads numpy.
+"""Each command loads only the modules it runs; only sampling loads numpy,
+and no command loads dataclasses.
 
 Runs in a fresh interpreter, because the pytest process has numpy loaded
 already.
@@ -63,14 +64,14 @@ assert loaded(["moonbell.simulate", "numpy"]) == ["moonbell.simulate", "numpy"],
 def test_commands_load_only_the_modules_they_run(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(scenario_to_json(preset("cao2017")))
-    neither = ["moonbell.simulate", "moonbell.linkbudget", "numpy"]
+    neither = ["moonbell.simulate", "moonbell.linkbudget", "numpy", "dataclasses"]
     steps = [
         (["bound", "gisin1999"], neither),
         (["presets"], neither),
         (["scales"], neither),
         (["validate", str(scenario)], neither),
         (["linkbudget", "--length-a", "384400km", "--length-b", "500km",
-          "--ref-loss-db", "30", "--pair-rate", "1e9"], ["moonbell.simulate", "numpy"]),
+          "--ref-loss-db", "30", "--pair-rate", "1e9"], ["moonbell.simulate", "numpy", "dataclasses"]),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_SCRIPT, json.dumps(steps)],
@@ -86,7 +87,7 @@ from moonbell import critical_speed, preset, scenario_timing
 
 v_star = critical_speed(preset("earth_moon_case3"))
 assert 0.0 < v_star < float("inf"), v_star
-loaded = [m for m in ("moonbell.simulate", "numpy") if m in sys.modules]
+loaded = [m for m in ("moonbell.simulate", "numpy", "dataclasses") if m in sys.modules]
 assert not loaded, loaded
 """
 

@@ -8,14 +8,7 @@ and the gain over the two reference experiments.  Ends with the ledger of
 printed-versus-recomputed figures.
 """
 
-from moonbell import (
-    PRESET_NAMES,
-    all_claims,
-    gain_factor,
-    preset,
-    speed_bound,
-    swapping_effective_length,
-)
+from moonbell import PRESET_NAMES, all_claims, gain_factor, preset, speed_bound
 
 gisin = preset("gisin1999")
 cao = preset("cao2017")
@@ -32,11 +25,6 @@ for name in PRESET_NAMES:
 # A slower measurement weakens every bound proportionally.
 b = speed_bound(preset("earth_moon_case3"), tau_override_s=50e-12)
 print(f"\nearth_moon_case3 at tau = 50 ps: v_min/c = {b.v_min_over_c:.4g}")
-
-# Entanglement swapping: the influence path is the longer source-through
-# route, doubled.
-l_eff = swapping_effective_length(10.6e3, 21.2e3)
-print(f"swapping effective length for 10.6 km / 21.2 km routes: {l_eff / 1e3:.1f} km")
 
 # Figures printed in the analyzed proposal that disagree with its own
 # formulas, kept side by side rather than silently corrected.

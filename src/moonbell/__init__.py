@@ -39,13 +39,11 @@ from .bounds import (
     proper_time_correction,
     scenario_timing,
     speed_bound,
-    swapping_effective_length,
 )
 from .claims import (
     PUBLISHED_CADENCE_THRESHOLD_HZ,
     Claim,
     all_claims,
-    claim_by_id,
     claims_as_dicts,
     claims_csv,
 )

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
+from .constants import checked
+
 CorrelationFn = Callable[[float, float], float]
 
 MODELS = ("quantum", "lhv", "uncorrelated")
@@ -39,14 +41,8 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if folded == math.pi else folded
 
 
-class _ChshSettingsFields(NamedTuple):
-    a: float = 0.0
-    a_prime: float = math.pi / 4.0
-    b: float = math.pi / 8.0
-    b_prime: float = 3.0 * math.pi / 8.0
-
-
-class ChshSettings(_ChshSettingsFields):
+@checked
+class ChshSettings(NamedTuple):
     """The four analyzer angles of one Bell test, radians, each folded by
     :func:`canonical_angle`.
 
@@ -54,11 +50,14 @@ class ChshSettings(_ChshSettingsFields):
     b=pi/8, b'=3pi/8.
     """
 
-    __slots__ = ()
+    a: float = 0.0
+    a_prime: float = math.pi / 4.0
+    b: float = math.pi / 8.0
+    b_prime: float = 3.0 * math.pi / 8.0
 
-    def __new__(cls, *args: float, **kwargs: float) -> ChshSettings:
-        angles = super().__new__(cls, *args, **kwargs)
-        return super().__new__(cls, *map(canonical_angle, angles))
+    def _checked(self) -> ChshSettings:
+        # tuple.__new__, not the constructor, which would fold (and call this) again.
+        return tuple.__new__(type(self), map(canonical_angle, self))
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         """The four measured angle combinations, in the order used by

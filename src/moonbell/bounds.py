@@ -9,10 +9,10 @@ so any experiment that still sees quantum correlations implies
 
 The second connectivity rule, the event model of :func:`critical_speed`,
 charges L_0 + L_1 on one emission's integer-femtosecond timeline in the
-privileged frame (:func:`scenario_timing`).  This module also covers the
-entanglement-swapping variant of the core rule, configuration-to-configuration
-gain factors, gravitational proper-time rate differences between sites, and
-the dimensional-analysis survey of a-priori speed/distance scales.
+privileged frame (:func:`scenario_timing`).  This module also covers
+configuration-to-configuration gain factors, gravitational proper-time rate
+differences between sites, and the dimensional-analysis survey of a-priori
+speed/distance scales.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CONSTANTS, FS_PER_SECOND
+from .constants import CONSTANTS, FS_PER_SECOND, checked
 from .scenario import Scenario, light_time
 
 CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
@@ -117,18 +117,6 @@ def critical_speed(scenario: Scenario, depart_at_end: bool = False) -> float:
     return _threshold(timing, lengths, depart_at_end)
 
 
-def swapping_effective_length(path_a_to_b_via_source_m: float, path_c_to_d_via_source_m: float) -> float:
-    """Effective length for an entanglement-swapping experiment, m.
-
-    When A-B and C-D pairs are swapped into an A-D pair, the influence path
-    is the longer of the two source-through routes, doubled; dividing the
-    result by tau*c gives the swapping bound.
-    """
-    if not (path_a_to_b_via_source_m > 0.0 and path_c_to_d_via_source_m > 0.0):
-        raise ValueError("path lengths must be > 0")
-    return 2.0 * max(path_a_to_b_via_source_m, path_c_to_d_via_source_m)
-
-
 def gain_factor(scenario_new: Scenario, scenario_ref: Scenario, tau_s: float | None = None) -> float:
     """Ratio of the two scenarios' speed bounds, both at ``tau_s``.
 
@@ -165,18 +153,14 @@ def cadence_threshold(correction_a: float, correction_b: float) -> float:
     return 1.0 / worst
 
 
-class _ObservationWindowFields(NamedTuple):
+@checked
+class ObservationWindow(NamedTuple):
+    """Distance scales an experiment can probe, m."""
+
     d_min_m: float
     d_max_m: float
 
-
-class ObservationWindow(_ObservationWindowFields):
-    """Distance scales an experiment can probe, m."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args: float, **kwargs: float) -> ObservationWindow:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> ObservationWindow:
         if not self.d_min_m >= 0.0:
             raise ValueError(f"window floor (--d-min) must be >= 0 m, got {self.d_min_m!r}")
         if not self.d_max_m > self.d_min_m:
@@ -212,14 +196,8 @@ def kappa(mass_kg: float = CONSTANTS.m_proton) -> float:
     return k
 
 
-class _AprioriCandidateFields(NamedTuple):
-    n: int | None
-    v_over_c: float | None
-    d_m: float
-    classification: str
-
-
-class AprioriCandidate(_AprioriCandidateFields):
+@checked
+class AprioriCandidate(NamedTuple):
     """One dimensional-analysis candidate: speed V, distance scale D.
 
     ``n`` is the power of kappa applied to the base values (V = c,
@@ -229,10 +207,12 @@ class AprioriCandidate(_AprioriCandidateFields):
     fixes no speed.
     """
 
-    __slots__ = ()
+    n: int | None
+    v_over_c: float | None
+    d_m: float
+    classification: str
 
-    def __new__(cls, *args: object, **kwargs: object) -> AprioriCandidate:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> AprioriCandidate:
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"bad classification {self.classification!r}")
         if self.v_over_c is not None and not self.v_over_c > 0.0:

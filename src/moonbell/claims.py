@@ -209,10 +209,3 @@ def claims_csv() -> str:
             f"{c.computed_value!r},{c.relative_difference!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def claim_by_id(claim_id: str) -> Claim:
-    for c in all_claims():
-        if c.claim_id == claim_id:
-            return c
-    raise KeyError(claim_id)

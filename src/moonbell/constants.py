@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
-# A type that checks its fields is a NamedTuple of the fields plus a subclass
-# whose __new__ builds the tuple and then checks (or canonicalizes) it, so
-# every constructor call validates. _replace and _make skip __new__, so a
-# changed copy is built through the constructor instead.
+_Record = TypeVar("_Record", bound=type)
 
 
-class _PhysicalConstantsFields(NamedTuple):
+def checked(cls: _Record) -> _Record:
+    """Make every construction of the NamedTuple ``cls`` return ``record._checked()``.
+
+    A type that checks its fields is a NamedTuple whose ``_checked(self)``
+    method checks (or canonicalizes) the built tuple and returns it. The
+    constructor and ``_make`` both end in that call, and ``_replace`` builds
+    through ``_make``, so no construction path skips the checks.
+    """
+    new, make = cls.__new__, cls._make.__func__
+    cls.__new__ = staticmethod(lambda cls, *args, **kwargs: new(cls, *args, **kwargs)._checked())
+    cls._make = classmethod(lambda cls, iterable: make(cls, iterable)._checked())
+    return cls
+
+
+@checked
+class PhysicalConstants(NamedTuple):
+    """Reference values (CODATA 2018 / IAU) used by every module.
+
+    ``c`` is exact by definition of the metre; everything else carries the
+    usual measurement uncertainty, which is far below any tolerance used in
+    this package.
+    """
+
     c: float = 299_792_458.0                 # speed of light, m/s (exact)
     G: float = 6.674_30e-11                  # gravitational constant, m^3/(kg s^2)
     hbar: float = 1.054_571_817e-34          # reduced Planck constant, J s
@@ -23,19 +42,7 @@ class _PhysicalConstantsFields(NamedTuple):
     kpc: float = 3.085_677_581_491_3673e19   # kiloparsec, m
     planck_length: float = 1.616_255e-35     # Planck length, m
 
-
-class PhysicalConstants(_PhysicalConstantsFields):
-    """Reference values (CODATA 2018 / IAU) used by every module.
-
-    ``c`` is exact by definition of the metre; everything else carries the
-    usual measurement uncertainty, which is far below any tolerance used in
-    this package.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args: float, **kwargs: float) -> PhysicalConstants:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> PhysicalConstants:
         for name, value in zip(self._fields, self):
             if not value > 0.0:
                 raise ValueError(f"constant {name} must be strictly positive")

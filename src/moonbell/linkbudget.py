@@ -13,16 +13,11 @@ from typing import NamedTuple
 
 from .bell import CLASSICAL_BOUND, TSIRELSON_BOUND
 from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
+from .constants import checked
 
 
-class _LinkSpecFields(NamedTuple):
-    length_m: float
-    reference_length_m: float
-    reference_loss_db: float
-    detector_efficiency: float = 1.0
-
-
-class LinkSpec(_LinkSpecFields):
+@checked
+class LinkSpec(NamedTuple):
     """One optical arm: its length and a measured reference operating point.
 
     Parameters
@@ -37,10 +32,12 @@ class LinkSpec(_LinkSpecFields):
         End-detector efficiency, in (0, 1].
     """
 
-    __slots__ = ()
+    length_m: float
+    reference_length_m: float
+    reference_loss_db: float
+    detector_efficiency: float = 1.0
 
-    def __new__(cls, *args: float, **kwargs: float) -> LinkSpec:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> LinkSpec:
         for flag, length in (
             ("--length-a/--length-b", self.length_m),
             ("--ref-length", self.reference_length_m),

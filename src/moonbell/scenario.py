@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any, NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND
+from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND, checked
 
 Vec = tuple[float, float, float]
 
@@ -72,31 +72,21 @@ def _as_vec(value: Any, field: str) -> Vec:
     return vec
 
 
-class _SiteFields(NamedTuple):
+@checked
+class Site(NamedTuple):
+    """A named location, Cartesian metres in the privileged frame."""
+
     name: str
     position: Vec
 
-
-class Site(_SiteFields):
-    """A named location, Cartesian metres in the privileged frame."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> Site:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> Site:
         if any(not math.isfinite(x) for x in self.position):
             raise ScenarioError("site position must be finite", self.name)
         return self
 
 
-class _ArmFields(NamedTuple):
-    detector: Site
-    path: tuple[Vec, ...]
-    tau_s: float
-    offset_s: float = 0.0
-
-
-class Arm(_ArmFields):
+@checked
+class Arm(NamedTuple):
     """One detector, the photon path reaching it, and its measurement window.
 
     ``path`` holds the vertices of the straight segments the photon
@@ -105,10 +95,12 @@ class Arm(_ArmFields):
     length (not the straight-line endpoint separation) enters every bound.
     """
 
-    __slots__ = ()
+    detector: Site
+    path: tuple[Vec, ...]
+    tau_s: float
+    offset_s: float = 0.0
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> Arm:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> Arm:
         if len(self.path) < 2:
             raise ScenarioError("a trace path needs at least 2 vertices", "path")
         for i in range(len(self.path) - 1):
@@ -138,23 +130,19 @@ class Arm(_ArmFields):
         return sum(math.dist(self.path[i], self.path[i + 1]) for i in range(len(self.path) - 1))
 
 
-class _ScenarioFields(NamedTuple):
-    name: str
-    source: Site
-    arms: tuple[Arm, Arm]
-    frame_note: str = "coordinates at rest relative to the laboratory"
-
-
-class Scenario(_ScenarioFields):
+@checked
+class Scenario(NamedTuple):
     """A complete two-arm experiment geometry.
 
     Immutable after construction; safe to share between threads/processes.
     """
 
-    __slots__ = ()
+    name: str
+    source: Site
+    arms: tuple[Arm, Arm]
+    frame_note: str = "coordinates at rest relative to the laboratory"
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> Scenario:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> Scenario:
         if len(self.arms) != 2:
             raise ScenarioError("a scenario has exactly 2 arms", "arms")
         for i, arm in enumerate(self.arms):
@@ -288,12 +276,11 @@ def with_equalized_starts(scenario: Scenario) -> Scenario:
     """
     arrivals = [light_time(arm.length_m) + arm.offset_s for arm in scenario.arms]
     latest = max(arrivals)
-    # Through the constructors, not _replace, so the delayed arms are checked again.
     arms = tuple(
-        Arm(arm.detector, arm.path, arm.tau_s, arm.offset_s + (latest - arrival))
+        arm._replace(offset_s=arm.offset_s + (latest - arrival))
         for arm, arrival in zip(scenario.arms, arrivals)
     )
-    return Scenario(scenario.name, scenario.source, arms, scenario.frame_note)
+    return scenario._replace(arms=arms)
 
 
 # --- document I/O ---------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
 from .bounds import critical_speed
+from .constants import checked
 from .scenario import Scenario
 
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
@@ -28,13 +29,8 @@ _SEED_MASK = (1 << 64) - 1
 MAX_TRACE = 100_000
 
 
-class _CollapseModelFields(NamedTuple):
-    v_over_c: float
-    fallback: str = "uncorrelated"
-    depart_at_end: bool = False
-
-
-class CollapseModel(_CollapseModelFields):
+@checked
+class CollapseModel(NamedTuple):
     """Finite influence speed plus the statistics of disconnected pairs.
 
     ``depart_at_end`` switches the influence departure from the start of
@@ -42,10 +38,11 @@ class CollapseModel(_CollapseModelFields):
     off).
     """
 
-    __slots__ = ()
+    v_over_c: float
+    fallback: str = "uncorrelated"
+    depart_at_end: bool = False
 
-    def __new__(cls, *args: object, **kwargs: object) -> CollapseModel:
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self) -> CollapseModel:
         if not self.v_over_c > 0.0:
             raise ValueError(f"v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got {self.v_over_c!r}")
         if self.fallback not in FALLBACKS:

@@ -20,8 +20,8 @@ from moonbell import (
     DEFAULT_SETTINGS,
     ChshSettings,
     CollapseModel,
+    all_claims,
     chsh_value,
-    claim_by_id,
     critical_speed,
     detector_separation,
     gain_factor,
@@ -40,6 +40,7 @@ from moonbell.bounds import cadence_threshold
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 S_QUANTUM = 2.0 * math.sqrt(2.0)
+CLAIMS = {c.claim_id: c for c in all_claims()}
 
 
 def _announce(number, text):
@@ -52,7 +53,7 @@ def test_criterion_01_analytic_chsh():
     assert abs(s_q - S_QUANTUM) <= 1e-12
     assert abs(s_l - 2.0) <= 1e-12
     # the printed 2.2 is logged, not matched
-    assert claim_by_id("chsh_quantum_value").paper_value == 2.2
+    assert CLAIMS["chsh_quantum_value"].paper_value == 2.2
     _announce(1, f"S_quantum={s_q!r}, S_lhv={s_l!r}; printed 2.2 kept in the ledger")
 
 
@@ -72,7 +73,7 @@ def test_criterion_02_bound_reproduction():
         ("gisin_bound_spelled_out", 7e5),
         ("cao_bound_order", 1e7),
     ):
-        assert claim_by_id(claim_id).paper_value == printed
+        assert CLAIMS[claim_id].paper_value == printed
     _announce(2, ", ".join(f"{k}={v:.4g}c" for k, v in values.items()))
 
 
@@ -84,8 +85,8 @@ def test_criterion_03_gain_factors():
     case3 = preset("earth_moon_case3")
     lagrange_gain = gain_factor(preset("lagrange_l4l5"), case3)
     mars_gain = gain_factor(preset("mars"), case3)
-    assert claim_by_id("lagrange_distance_gain").paper_value == 20.0
-    assert claim_by_id("mars_distance_gain").paper_value == 1000.0
+    assert CLAIMS["lagrange_distance_gain"].paper_value == 20.0
+    assert CLAIMS["mars_distance_gain"].paper_value == 1000.0
     assert 20.0 / 2.0 <= lagrange_gain <= 20.0 * 2.0
     assert 1000.0 / 2.0 <= mars_gain <= 1000.0 * 2.0
     _announce(
@@ -193,7 +194,7 @@ def test_criterion_08_proper_time():
     assert moon == pytest.approx(3.14e-11, rel=0.01)
     published = cadence_threshold(0.08, 0.0031)
     assert published == pytest.approx(12.5, rel=1e-12)
-    cadence_claim = claim_by_id("cadence_threshold")
+    cadence_claim = CLAIMS["cadence_threshold"]
     assert cadence_claim.paper_value == 12.0
     assert cadence_claim.computed_value == pytest.approx(12.5, rel=1e-12)
     _announce(

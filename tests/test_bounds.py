@@ -18,7 +18,6 @@ from moonbell import (
     scenario_from_dict,
     scenario_to_dict,
     speed_bound,
-    swapping_effective_length,
     symmetric_scenario,
 )
 
@@ -94,16 +93,6 @@ def test_bound_uses_doubled_max_not_sum():
         s = symmetric_scenario(l_long)
         b = speed_bound(s)
         assert 2.0 * b.l_max_m >= l_short + l_long - 1e-6
-
-
-def test_swapping_effective_length():
-    assert swapping_effective_length(100e3, 100e3) == pytest.approx(200e3)
-    assert swapping_effective_length(10.6e3, 21.2e3) == pytest.approx(42.4e3)
-    rng = np.random.default_rng(5)
-    for x in rng.uniform(1e-3, 1e12, size=50):
-        assert swapping_effective_length(x, x) == pytest.approx(2 * x, rel=1e-12)
-    with pytest.raises(ValueError):
-        swapping_effective_length(0.0, 1.0)
 
 
 def test_gain_factors():

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from moonbell import all_claims, claim_by_id, claims_as_dicts, claims_csv
+from moonbell import all_claims, claims_as_dicts, claims_csv
 from moonbell.claims import CSV_HEADER
+
+CLAIMS = {c.claim_id: c for c in all_claims()}
 
 EXPECTED_IDS = {
     "alpha_correction_earth",
@@ -40,43 +42,43 @@ def test_ledger_sorted_and_byte_stable():
 def test_inconsistent_bound_figures_all_logged():
     # Three mutually inconsistent printed values compared with the one
     # formula output 2 * 5300 m / 5 ps.
-    computed = claim_by_id("gisin_bound_section_figure").computed_value
+    computed = CLAIMS["gisin_bound_section_figure"].computed_value
     assert computed == pytest.approx(7_071_558.82, rel=1e-9)
-    assert claim_by_id("gisin_bound_quoted_reference").paper_value == 32e7
-    assert claim_by_id("gisin_bound_spelled_out").paper_value == 7e5
-    assert claim_by_id("gisin_bound_section_figure").paper_value == 7e6
-    assert claim_by_id("cao_bound_order").paper_value == 1e7
+    assert CLAIMS["gisin_bound_quoted_reference"].paper_value == 32e7
+    assert CLAIMS["gisin_bound_spelled_out"].paper_value == 7e5
+    assert CLAIMS["gisin_bound_section_figure"].paper_value == 7e6
+    assert CLAIMS["cao_bound_order"].paper_value == 1e7
 
 
 def test_chsh_claims():
-    assert claim_by_id("chsh_quantum_value").computed_value == pytest.approx(
+    assert CLAIMS["chsh_quantum_value"].computed_value == pytest.approx(
         2 * math.sqrt(2), abs=1e-12
     )
-    assert claim_by_id("chsh_printed_sign_combination").computed_value == pytest.approx(
+    assert CLAIMS["chsh_printed_sign_combination"].computed_value == pytest.approx(
         math.sqrt(2), abs=1e-12
     )
-    assert claim_by_id("chsh_quantum_value").paper_value == 2.2
+    assert CLAIMS["chsh_quantum_value"].paper_value == 2.2
 
 
 def test_gain_claims():
-    assert claim_by_id("earth_moon_gain_vs_city_separation").computed_value == pytest.approx(
+    assert CLAIMS["earth_moon_gain_vs_city_separation"].computed_value == pytest.approx(
         319.534, rel=1e-4
     )
-    assert claim_by_id("earth_moon_gain_bound_ratio").computed_value == pytest.approx(
+    assert CLAIMS["earth_moon_gain_bound_ratio"].computed_value == pytest.approx(
         549.143, rel=1e-4
     )
-    assert claim_by_id("lagrange_distance_gain").computed_value == pytest.approx(20.0, rel=1e-9)
-    assert claim_by_id("mars_distance_gain").computed_value == pytest.approx(585.33, rel=1e-3)
+    assert CLAIMS["lagrange_distance_gain"].computed_value == pytest.approx(20.0, rel=1e-9)
+    assert CLAIMS["mars_distance_gain"].computed_value == pytest.approx(585.33, rel=1e-3)
 
 
 def test_both_distance_conventions_surfaced():
-    c = claim_by_id("earth_moon_distance")
+    c = CLAIMS["earth_moon_distance"]
     assert c.paper_value == 3.9e8
     assert c.computed_value == 3.844e8
 
 
 def test_cadence_claim():
-    c = claim_by_id("cadence_threshold")
+    c = CLAIMS["cadence_threshold"]
     assert c.paper_value == 12.0
     assert c.computed_value == pytest.approx(12.5, rel=1e-12)
 

@@ -22,10 +22,10 @@ _EXPORTS = {
         "EARTH_MOON_WINDOW", "MOND_SCALE_M", "AprioriCandidate", "ArmTiming",
         "ObservationWindow", "SpeedBound", "apriori_scales", "cadence_threshold",
         "classify_scale", "critical_speed", "gain_factor", "kappa", "mond_candidate",
-        "proper_time_correction", "scenario_timing", "speed_bound", "swapping_effective_length",
+        "proper_time_correction", "scenario_timing", "speed_bound",
     ],
     "claims": [
-        "PUBLISHED_CADENCE_THRESHOLD_HZ", "Claim", "all_claims", "claim_by_id", "claims_as_dicts",
+        "PUBLISHED_CADENCE_THRESHOLD_HZ", "Claim", "all_claims", "claims_as_dicts",
         "claims_csv",
     ],
     "constants": ["CONSTANTS", "DEFAULT_TAU_S", "PhysicalConstants"],
@@ -72,7 +72,7 @@ def test_all_is_pinned():
     import moonbell
 
     expected = sorted(sum(_EXPORTS.values(), []) + _SUBMODULES)
-    assert len(expected) == 71
+    assert len(expected) == 69
     assert sorted(moonbell.__all__) == expected
 
 

@@ -1,8 +1,9 @@
 """Construction rules of moonbell's record types.
 
-Each validating type rejects a bad field with one exact message, no type
-lets a field be reassigned, and every copy a helper makes is validated
-again.
+Each validating type rejects a bad field with one exact message, whether
+the record is built by the constructor, by `_make` or as a `_replace`
+copy; no type lets a field be reassigned, and every copy a helper makes is
+validated again.
 """
 
 import json
@@ -27,6 +28,7 @@ from moonbell import (
     ScenarioError,
     Site,
     all_claims,
+    canonical_angle,
     mond_candidate,
     preset,
     scenario_timing,
@@ -40,60 +42,97 @@ from moonbell import (
 _ARM = preset("gisin1999").arms[0]
 _ORIGIN = (0.0, 0.0, 0.0)
 
+# A valid record of each validating type, one field of it, a bad value for
+# that field, and the error the bad value raises.
 _BAD_INPUTS = {
     "Site": (
-        lambda: Site("nowhere", (0.0, math.nan, 0.0)),
+        Site("nowhere", _ORIGIN),
+        "position",
+        (0.0, math.nan, 0.0),
         ScenarioError,
         "nowhere: site position must be finite",
     ),
     "Arm": (
-        lambda: Arm(_ARM.detector, _ARM.path, 0.0),
+        _ARM,
+        "tau_s",
+        0.0,
         ScenarioError,
         "tau_s: measurement duration tau_s must be > 0",
     ),
     "Scenario": (
-        lambda: Scenario("moved_source", Site("src", (1.0, 0.0, 0.0)), (_ARM, _ARM)),
+        Scenario("moved_source", Site("src", _ORIGIN), (_ARM, _ARM)),
+        "source",
+        Site("src", (1.0, 0.0, 0.0)),
         ScenarioError,
         "arms[0].path: path must start at the source position (within 1 mm)",
     ),
     "ChshSettings": (
-        lambda: ChshSettings(a_prime=math.nan),
+        DEFAULT_SETTINGS,
+        "a_prime",
+        math.nan,
         ValueError,
         "analyzer angle (--settings) must be finite, got nan",
     ),
     "CollapseModel": (
-        lambda: CollapseModel(v_over_c=0.0),
+        CollapseModel(v_over_c=1.0),
+        "v_over_c",
+        0.0,
         ValueError,
         "v_over_c (--v-over-c) must be > 0 (inf for instantaneous), got 0.0",
     ),
     "LinkSpec": (
-        lambda: LinkSpec(length_m=0.0, reference_length_m=1.0, reference_loss_db=0.0),
+        LinkSpec(length_m=1.0, reference_length_m=1.0, reference_loss_db=0.0),
+        "length_m",
+        0.0,
         ValueError,
         "length (--length-a/--length-b) must be > 0, got 0.0 m",
     ),
     "ObservationWindow": (
-        lambda: ObservationWindow(1.0, 1.0),
+        ObservationWindow(1.0, 2.0),
+        "d_max_m",
+        1.0,
         ValueError,
         "window ceiling (--d-max) must be > the floor (--d-min, 1.0 m), got 1.0",
     ),
     "AprioriCandidate": (
-        lambda: AprioriCandidate(0, 1.0, 1.0, "bogus"),
+        AprioriCandidate(0, 1.0, 1.0, "observable"),
+        "classification",
+        "bogus",
         ValueError,
         "bad classification 'bogus'",
     ),
     "PhysicalConstants": (
-        lambda: PhysicalConstants(G=0.0),
+        CONSTANTS,
+        "G",
+        0.0,
         ValueError,
         "constant G must be strictly positive",
     ),
 }
 
 
+def _bad_fields(name):
+    """The fields of ``name``'s valid record with the bad value in place."""
+    record, field, bad, _, _ = _BAD_INPUTS[name]
+    return {**record._asdict(), field: bad}
+
+
 @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
 def test_validating_types_reject_a_bad_field_with_the_same_message(name):
-    build, error, message = _BAD_INPUTS[name]
+    record, _, _, error, message = _BAD_INPUTS[name]
     with pytest.raises(error) as excinfo:
-        build()
+        type(record)(**_bad_fields(name))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_replace_and_make_check_like_the_constructor(name):
+    record, field, bad, error, message = _BAD_INPUTS[name]
+    with pytest.raises(error) as excinfo:
+        record._replace(**{field: bad})
+    assert str(excinfo.value) == message
+    with pytest.raises(error) as excinfo:
+        type(record)._make(_bad_fields(name).values())
     assert str(excinfo.value) == message
 
 
@@ -119,6 +158,8 @@ def test_chsh_settings_fold_every_angle():
     assert settings.a_prime == pytest.approx(math.pi - 0.5)
     assert settings.b == 0.0
     assert settings.b_prime == DEFAULT_SETTINGS.b_prime
+    assert DEFAULT_SETTINGS._replace(a=4.0).a == canonical_angle(4.0)
+    assert ChshSettings._make([4.0, 0.0, 0.0, 0.0]).a == canonical_angle(4.0)
 
 
 def _instances():

@@ -45,7 +45,6 @@ from .claims import (
     Claim,
     all_claims,
     claims_as_dicts,
-    claims_csv,
 )
 from .constants import CONSTANTS, DEFAULT_TAU_S, PhysicalConstants
 from .scenario import (
@@ -61,7 +60,6 @@ from .scenario import (
     load_scenario,
     load_scenario_file,
     preset,
-    scenario_from_dict,
     scenario_to_dict,
     scenario_to_json,
     symmetric_scenario,

@@ -45,13 +45,18 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     starts; the event model, :func:`critical_speed`, charges L_0 + L_1
     within its femtosecond window instead.
     """
-    if tau_override_s is not None and not tau_override_s > 0.0:
+    if tau_override_s is None:
+        tau, origin = max(a.tau_s for a in scenario.arms), "the scenario's tau_s"
+    elif not tau_override_s > 0.0:
         raise ValueError(f"tau override (--tau) must be > 0, got {tau_override_s!r} s")
-    tau = tau_override_s if tau_override_s is not None else max(a.tau_s for a in scenario.arms)
+    elif not math.isfinite(tau_override_s):
+        raise ValueError(f"tau override (--tau) must be finite, got {tau_override_s!r} s")
+    else:
+        tau, origin = tau_override_s, "tau override (--tau)"
     l_max = max(arm.length_m for arm in scenario.arms)
     v_min_over_c = 2.0 * l_max / (tau * CONSTANTS.c)
     if not 0.0 < v_min_over_c < math.inf:
-        raise ValueError(f"tau = {tau!r} s puts v_min/c = {v_min_over_c!r} out of float range")
+        raise ValueError(f"{origin} {tau!r} s puts v_min/c = {v_min_over_c!r} out of float range")
     return SpeedBound(l_max_m=l_max, tau_s=tau, v_min_over_c=v_min_over_c)
 
 

@@ -32,8 +32,6 @@ PUBLISHED_CADENCE_THRESHOLD_HZ = cadence_threshold(
 # Earth-Moon distance as rounded in the proposal's abstract, m.
 PUBLISHED_EARTH_MOON_DISTANCE_M = 3.9e8
 
-CSV_HEADER = "claim_id,paper_location,paper_value,computed_value,relative_difference"
-
 
 class Claim(NamedTuple):
     """One printed figure and the value recomputed from the stated formula."""
@@ -198,14 +196,3 @@ def all_claims() -> tuple[Claim, ...]:
 def claims_as_dicts() -> list[dict]:
     """Ledger rows as plain dicts (report embedding): every field plus ``relative_difference``."""
     return [{**c._asdict(), "relative_difference": c.relative_difference} for c in all_claims()]
-
-
-def claims_csv() -> str:
-    """Ledger as CSV text; byte-stable across runs."""
-    lines = [CSV_HEADER]
-    for c in all_claims():
-        lines.append(
-            f"{c.claim_id},{c.paper_location},{c.paper_value!r},"
-            f"{c.computed_value!r},{c.relative_difference!r}"
-        )
-    return "\n".join(lines) + "\n"

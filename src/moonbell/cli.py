@@ -234,7 +234,7 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
         "fallback": args.fallback,
         "depart_at_end": args.depart_at_end,
         "equalize_starts": args.equalize_starts,
-        "settings": list(settings),
+        "settings": settings,
         "workers": args.workers,
     }
     return scenario, settings, inputs
@@ -260,8 +260,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     results = {
         "s_hat": result.s_hat,
         "stderr_s": result.stderr_s,
-        "e_hat": list(result.e_hat),
-        "counts": list(result.counts),
+        "e_hat": result.e_hat,
+        "counts": result.counts,
         "connected": result.connected,
         "fraction_connected": float(result.connected),
         "critical_v_over_c": critical_speed(scenario, args.depart_at_end),
@@ -269,14 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     if result.records:
         # Every traced pair shares the run's one timeline, printed once here.
         results["timing"] = {"emission_fs": 0, "arms": [t._asdict() for t in scenario_timing(scenario)]}
-        results["trace"] = [
-            {
-                "connected": result.connected,
-                "settings": list(r.settings),
-                "outcomes": list(r.outcomes),
-            }
-            for r in result.records
-        ]
+        results["trace"] = [{"connected": result.connected, **r._asdict()} for r in result.records]
     inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
     return inputs, results
 

@@ -335,11 +335,18 @@ def _arm_from_dict(obj: Any, field: str) -> Arm:
         raise ScenarioError(exc.reason, f"{field}.{exc.field}") from exc
 
 
-def scenario_from_dict(document: dict) -> Scenario:
-    """Build and validate a :class:`Scenario` from a parsed JSON document.
+def load_scenario(document: str | dict) -> Scenario:
+    """Build and validate a :class:`Scenario` from JSON text or an already-parsed dict.
 
     Each object's required fields are checked before any of its values is read.
     """
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ScenarioError("not valid JSON: nested too deeply") from None
     document = _object(document, "", ("name", "source", "arms"), ("frame_note",))
     name = _as_str(document["name"], "name")
     source = _site_from_dict(document["source"], "source")
@@ -350,18 +357,6 @@ def scenario_from_dict(document: dict) -> Scenario:
     default_note = Scenario._field_defaults["frame_note"]
     frame_note = _as_str(document.get("frame_note", default_note), "frame_note")
     return Scenario(name=name, source=source, arms=arms, frame_note=frame_note)
-
-
-def load_scenario(document: str | dict) -> Scenario:
-    """Parse a scenario from JSON text (or an already-parsed dict)."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise ScenarioError("not valid JSON: nested too deeply") from None
-    return scenario_from_dict(document)
 
 
 def load_scenario_file(path: str) -> Scenario:

@@ -12,10 +12,10 @@ from moonbell import (
     classify_scale,
     gain_factor,
     kappa,
+    load_scenario,
     mond_candidate,
     preset,
     proper_time_correction,
-    scenario_from_dict,
     scenario_to_dict,
     speed_bound,
     symmetric_scenario,
@@ -68,7 +68,7 @@ def _scaled(scenario, k):
     for arm in doc["arms"]:
         arm["detector"]["position"] = [k * x for x in arm["detector"]["position"]]
         arm["path"] = [[k * x for x in v] for v in arm["path"]]
-    return scenario_from_dict(doc)
+    return load_scenario(doc)
 
 
 def test_scaling_laws():

@@ -9,7 +9,7 @@ import textwrap
 import jsonschema
 import pytest
 
-from moonbell import preset, scenario_to_json
+from moonbell import claims_as_dicts, preset, scenario_to_json
 from moonbell.cli import main
 from moonbell.bounds import scenario_timing
 
@@ -313,6 +313,15 @@ def test_discrepancy_ledger_byte_stable():
     assert a == b
     ids = [d["claim_id"] for d in a]
     assert ids == sorted(ids)
+    # The csv report is the ledger's one CSV form: a row per field of every
+    # claim, floats at full precision.
+    stdout = run_cli("bound", "earth_moon_case3", "--format", "csv", check=True).stdout
+    rows = [row for row in csv.reader(io.StringIO(stdout)) if row[0].startswith("discrepancies[")]
+    assert rows == [
+        [f"discrepancies[{i}].{field}", repr(value) if isinstance(value, float) else value]
+        for i, claim in enumerate(claims_as_dicts())
+        for field, value in sorted(claim.items())
+    ]
 
 
 def test_simulate_results_independent_of_workers():
@@ -491,6 +500,13 @@ _UNIT_LINK = ("--length-a", "1km", "--length-b", "1km", "--ref-length", "1km", "
                     "--out", str(d / "none.csv")), 2, "--points must be >= 1, got 0"),
         (lambda d: ("sweep", "gisin1999", "--v-min", "0", "--v-max", "2",
                     "--out", str(d / "zero.csv")), 2, "--v-min must be > 0, got 0.0"),
+        (lambda d: ("bound", "gisin1999", "--tau", "1e-320"),
+         2, "error: tau override (--tau) 1e-320 s puts v_min/c = inf out of float range\n"),
+        (lambda d: ("bound", "gisin1999", "--tau", "inf"),
+         2, "error: tau override (--tau) must be finite, got inf s\n"),
+        (lambda d: ("bound", _faulty_scenario(
+            d, lambda doc: {**doc, "arms": [{**arm, "tau_s": 1e-320} for arm in doc["arms"]]})),
+         2, "error: the scenario's tau_s 1e-320 s puts v_min/c = inf out of float range\n"),
     ],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, make_argv, code, needle):
@@ -623,6 +639,33 @@ def _flat_keys(value, prefix=""):
     if isinstance(value, list):
         return [k for i, v in enumerate(value) for k in _flat_keys(v, f"{prefix}[{i}]")]
     return [prefix]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "earth_moon_case3"],
+        ["simulate", "gisin1999", "-n", "1000", "--trace", "2"],
+        ["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "100",
+         "--out", "{tmp}/sweep.csv"],
+        ["linkbudget", "--length-a", "384400km", "--length-b", "500km", "--pair-rate", "1e9"],
+        ["scales"],
+        ["validate", "{tmp}/gisin1999.json"],
+        ["presets"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_and_text_keys_are_the_flattened_json_keys(tmp_path, capsys, argv):
+    (tmp_path / "gisin1999.json").write_text(scenario_to_json(preset("gisin1999")))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+
+    def render(fmt):
+        assert main([*argv, "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    keys = _flat_keys(json.loads(render("json")))
+    assert [row[0] for row in csv.reader(io.StringIO(render("csv")))] == ["key", *keys]
+    assert [line.split(": ", 1)[0] for line in render("text").splitlines()] == keys
 
 
 @pytest.mark.parametrize(

@@ -24,10 +24,7 @@ _EXPORTS = {
         "classify_scale", "critical_speed", "gain_factor", "kappa", "mond_candidate",
         "proper_time_correction", "scenario_timing", "speed_bound",
     ],
-    "claims": [
-        "PUBLISHED_CADENCE_THRESHOLD_HZ", "Claim", "all_claims", "claims_as_dicts",
-        "claims_csv",
-    ],
+    "claims": ["PUBLISHED_CADENCE_THRESHOLD_HZ", "Claim", "all_claims", "claims_as_dicts"],
     "constants": ["CONSTANTS", "DEFAULT_TAU_S", "PhysicalConstants"],
     "linkbudget": [
         "LinkSpec", "budget_report", "coincidence_rate", "geometric_loss_db",
@@ -36,8 +33,8 @@ _EXPORTS = {
     "scenario": [
         "LOCAL_ARM_M", "PRESET_NAMES", "Arm", "Scenario", "ScenarioError", "Site",
         "UnknownPresetError", "detector_separation", "light_time", "load_scenario",
-        "load_scenario_file", "preset", "scenario_from_dict", "scenario_to_dict",
-        "scenario_to_json", "symmetric_scenario", "with_equalized_starts",
+        "load_scenario_file", "preset", "scenario_to_dict", "scenario_to_json",
+        "symmetric_scenario", "with_equalized_starts",
     ],
     "simulate": [
         "CollapseModel", "PairRecord", "SimulationResult", "SweepPoint", "derive_seed",
@@ -72,7 +69,7 @@ def test_all_is_pinned():
     import moonbell
 
     expected = sorted(sum(_EXPORTS.values(), []) + _SUBMODULES)
-    assert len(expected) == 69
+    assert len(expected) == 67
     assert sorted(moonbell.__all__) == expected
 
 

@@ -19,7 +19,6 @@ from moonbell import (
     light_time,
     load_scenario,
     preset,
-    scenario_from_dict,
     scenario_to_dict,
     scenario_to_json,
     symmetric_scenario,
@@ -110,7 +109,7 @@ def test_arm_length_invariant_under_isometries():
         for arm in doc["arms"]:
             arm["detector"]["position"] = list(move(arm["detector"]["position"]))
             arm["path"] = [list(move(v)) for v in arm["path"]]
-        moved = scenario_from_dict(doc)
+        moved = load_scenario(doc)
         for i in (0, 1):
             assert abs(moved.arms[i].length_m - s.arms[i].length_m) <= 1e-6
 

@@ -9,10 +9,10 @@ failure, 3 unknown preset/reference, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -133,12 +133,18 @@ def resolve_scenario(ref: str) -> Scenario:
     raise UnknownPresetError(f"{ref!r} is neither a preset name nor an existing file")
 
 
-def _jsonable(value: Any) -> Any:
-    """Make a report JSON-safe: inf/nan become strings, tuples become lists."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _jsonable(value: Any, memo: dict[int, Any]) -> Any:
+    """Make a report JSON-safe: inf/nan become strings, tuples become lists.
+    ``memo`` maps a container's id to its conversion, so each is converted once."""
+    if isinstance(value, (dict, list, tuple)):
+        done = memo.get(id(value))
+        if done is None:
+            if isinstance(value, dict):
+                done = {k: _jsonable(v, memo) for k, v in value.items()}
+            else:
+                done = [_jsonable(v, memo) for v in value]
+            memo[id(value)] = done
+        return done
     if isinstance(value, float) and not math.isfinite(value):
         if math.isnan(value):
             return "nan"
@@ -155,7 +161,8 @@ def make_report(command: str, inputs: dict, results: dict, seed: int | None = No
             "discrepancies": claims_as_dicts(),
             "version": __version__,
             "seed": seed,
-        }
+        },
+        {},
     )
 
 
@@ -179,9 +186,39 @@ def _has_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+def _json_text(value: Any, depth: int, memo: dict[tuple[int, int], str]) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
+    writes it ``depth`` levels in, for str keys; ``memo`` renders each
+    (container, depth) once."""
+    if isinstance(value, (dict, list, tuple)):
+        text = memo.get((id(value), depth))
+        if text is None:
+            if isinstance(value, dict):
+                items = [
+                    f"{encode_basestring_ascii(k)}: {_json_text(v, depth + 1, memo)}" for k, v in sorted(value.items())
+                ]
+            else:
+                items = [_json_text(v, depth + 1, memo) for v in value]
+            inner, ends = "\n" + "  " * (depth + 1), "{}" if isinstance(value, dict) else "[]"
+            text = f"{ends[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{ends[1]}" if items else ends
+            memo[(id(value), depth)] = text
+        return text
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, float):
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_text(report, 0, {}) + "\n"
     if fmt == "csv":
         lines = ["key,value"]
         for key, value in _flatten(report):
@@ -193,7 +230,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "text":
         # One line per key: a value that spans lines is written as its JSON literal.
         return "\n".join(
-            f"{key}: {json.dumps(value) if isinstance(value, str) and _has_line_break(value) else value}"
+            f"{key}: {encode_basestring_ascii(value) if isinstance(value, str) and _has_line_break(value) else value}"
             for key, value in _flatten(report)
         ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
@@ -269,7 +306,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     if result.records:
         # Every traced pair shares the run's one timeline, printed once here.
         results["timing"] = {"emission_fs": 0, "arms": [t._asdict() for t in scenario_timing(scenario)]}
-        results["trace"] = [{"connected": result.connected, **r._asdict()} for r in result.records]
+        # Each distinct record (one per cell) becomes one row, repeated by reference.
+        distinct = {id(r): r for r in result.records}
+        rows = {key: {"connected": result.connected, **r._asdict()} for key, r in distinct.items()}
+        results["trace"] = [rows[id(r)] for r in result.records]
     inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
     return inputs, results
 

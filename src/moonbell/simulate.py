@@ -62,7 +62,8 @@ class SimulationResult(NamedTuple):
 
     ``e_hat``/``counts`` follow the setting order (a,b), (a,b'), (a',b),
     (a',b'); ``s_hat`` is their Bell combination and ``stderr_s`` is
-    sqrt(sum (1 - E^2)/n) over the four settings.
+    sqrt(sum (1 - E^2)/n) over the four settings.  ``records`` repeats one
+    record object per cell for every traced pair of that cell.
     """
 
     e_hat: tuple[float, float, float, float]
@@ -104,10 +105,10 @@ def simulate(
     connects the measurements, else from the fallback.  The first
     ``trace_limit`` pairs (at most :data:`MAX_TRACE`) are drawn one by one
     and kept as records; the rest are tallied in one multinomial draw, and
-    both count towards the estimate.  Results are a pure function of
-    (scenario, model, settings, n_pairs, seed, trace_limit) through a Philox
-    stream keyed by ``seed``; ``workers`` is validated for compatibility and
-    starts no process.
+    both count towards the estimate; traced pairs of one cell share one
+    :class:`PairRecord` object.  Results are a pure function of (scenario, model,
+    settings, n_pairs, seed, trace_limit) through a Philox stream keyed by
+    ``seed``; ``workers`` is validated for compatibility and starts no process.
 
     A setting combination that draws no pair (likely only for small
     ``n_pairs``) has no correlation estimate: its ``e_hat`` entry is nan,
@@ -140,14 +141,14 @@ def simulate(
     p = tables.ravel() / 4.0
     rng = np.random.Generator(np.random.Philox(seed & _SEED_MASK))
     n_rec = min(trace_limit, n_pairs)
-    traced = rng.choice(16, size=n_rec, p=p)
+    # A zero-size draw would leave the Philox state as it is, so it is skipped.
+    traced = rng.choice(16, size=n_rec, p=p) if n_rec else np.zeros(0, dtype=np.int64)
     tally = np.bincount(traced, minlength=16) + rng.multinomial(n_pairs - n_rec, p)
     cells = tally.reshape(4, 4)
 
-    records = tuple(
-        PairRecord(settings=angle_pairs[int(c) // 4], outcomes=OUTCOMES[int(c) % 4])
-        for c in traced
-    )
+    # A traced pair is its cell, so each cell's record is built once and shared.
+    cell_records = [PairRecord(angle_pairs[c // 4], OUTCOMES[c % 4]) for c in range(16)] if n_rec else []
+    records = tuple(map(cell_records.__getitem__, traced.tolist()))
 
     counts = cells.sum(axis=1)
     prod_sums = cells @ [a * b for a, b in OUTCOMES]

@@ -23,9 +23,10 @@ from moonbell import (
     symmetric_scenario,
     with_equalized_starts,
 )
+from moonbell.bell import OUTCOMES, outcome_probabilities
 from moonbell.constants import FS_PER_SECOND
 from moonbell.bounds import _threshold
-from moonbell.simulate import derive_seed
+from moonbell.simulate import PairRecord, derive_seed
 
 C = CONSTANTS.c
 
@@ -371,6 +372,20 @@ def test_trace_records_are_the_tallied_pairs():
         prod_sums[k] += rec.outcomes[0] * rec.outcomes[1]
     assert list(result.counts) == counts
     assert list(result.e_hat) == [s / c for s, c in zip(prod_sums, counts)]
+
+
+def test_a_trace_is_its_cells():
+    # Pair i's record is cell c = 4*s + o of the traced draw: angle pair s, outcome o.
+    n, seed = 10_000, 5
+    result = simulate(
+        preset("earth_moon_case3"), CollapseModel(v_over_c=math.inf), DEFAULT_SETTINGS, n, seed, trace_limit=n
+    )
+    assert len(result.records) == n
+    assert len({id(rec) for rec in result.records}) <= 16
+    angle_pairs = DEFAULT_SETTINGS.pairs()
+    p = np.array([outcome_probabilities("quantum", a, b) for a, b in angle_pairs]).ravel() / 4.0
+    cells = np.random.Generator(np.random.Philox(seed)).choice(16, size=n, p=p).tolist()
+    assert list(result.records) == [PairRecord(angle_pairs[c // 4], OUTCOMES[c % 4]) for c in cells]
 
 
 def test_simulate_handles_1e15_pairs():

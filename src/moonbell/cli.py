@@ -186,39 +186,61 @@ def _has_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
-def _json_text(value: Any, depth: int, memo: dict[tuple[int, int], str]) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``
-    writes it ``depth`` levels in, for str keys; ``memo`` renders each
-    (container, depth) once."""
+def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any]) -> None:
+    """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys.
+
+    ``seen`` maps each (container, depth) rendered so far to its span of
+    ``out``; a container met again is joined once from that span, kept as
+    text and appended whole, so only repeated containers are held twice."""
     if isinstance(value, (dict, list, tuple)):
-        text = memo.get((id(value), depth))
-        if text is None:
+        key = (id(value), depth)
+        done = seen.get(key)
+        if done is not None:
+            if not isinstance(done, str):
+                done = seen[key] = "".join(out[done[0] : done[1]])
+            out.append(done)
+            return
+        start = len(out)
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+        else:
+            lead, sep = "\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1)
             if isinstance(value, dict):
-                items = [
-                    f"{encode_basestring_ascii(k)}: {_json_text(v, depth + 1, memo)}" for k, v in sorted(value.items())
-                ]
+                out.append("{")
+                for k, v in sorted(value.items()):
+                    out += (lead, encode_basestring_ascii(k), ": ")
+                    _json_chunks(v, depth + 1, out, seen)
+                    lead = sep
+                out.append("\n" + "  " * depth + "}")
             else:
-                items = [_json_text(v, depth + 1, memo) for v in value]
-            inner, ends = "\n" + "  " * (depth + 1), "{}" if isinstance(value, dict) else "[]"
-            text = f"{ends[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{ends[1]}" if items else ends
-            memo[(id(value), depth)] = text
-        return text
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not isinstance(value, float):
+                out.append("[")
+                for v in value:
+                    out.append(lead)
+                    _json_chunks(v, depth + 1, out, seen)
+                    lead = sep
+                out.append("\n" + "  " * depth + "]")
+        seen[key] = (start, len(out))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, float):
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    if not math.isfinite(value):
+    elif not math.isfinite(value):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
+    else:
+        out.append(float.__repr__(value))
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(report, 0, {}) + "\n"
+        out: list[str] = []
+        _json_chunks(report, 0, out, {})
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         lines = ["key,value"]
         for key, value in _flatten(report):

@@ -7,19 +7,22 @@ local-hidden-variable) supplies the outcomes.
 
 A run is thus n independent draws from one fixed 16-cell table (setting
 combination times joint outcome), and its tallies are a single multinomial
-draw.  Randomness comes from numpy's counter-based Philox generator keyed
-by the seed (sweep sub-seeds via ``SeedSequence``), so results are a pure
-function of the seed; the worker count changes neither the output nor the
-process count.
+draw.  Randomness comes from numpy's counter-based Philox stream keyed by
+the seed (sweep sub-seeds via ``SeedSequence``), drawn through the pure-Python
+port in :mod:`moonbell.philox`, so results are a pure function of the seed,
+equal to numpy's own draws, and no command imports numpy; the worker count
+changes neither the output nor the process count.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
 from .bounds import critical_speed
 from .constants import checked
+from .philox import Philox, choice, multinomial, seed_state
 from .scenario import Scenario
 
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
@@ -83,10 +86,7 @@ class SweepPoint(NamedTuple):
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable sub-seed for sweep point ``index``."""
-    import numpy as np
-
-    state = np.random.SeedSequence([seed & _SEED_MASK, index]).generate_state(1, np.uint64)
-    return int(state[0])
+    return seed_state([seed & _SEED_MASK, index], 1)[0]
 
 
 def simulate(
@@ -117,7 +117,7 @@ def simulate(
     """
     if n_pairs < 4:
         raise ValueError(f"n_pairs (-n/--pairs) must be at least 4, got {n_pairs}")
-    if n_pairs > 2**63 - 1:  # numpy's multinomial counts in int64
+    if n_pairs > 2**63 - 1:  # the multinomial counts in int64, as numpy's does
         raise ValueError(f"n_pairs (-n/--pairs) must be at most 2**63 - 1, got {n_pairs}")
     if trace_limit < 0:
         raise ValueError(f"trace_limit (--trace) must be >= 0, got {trace_limit}")
@@ -128,42 +128,38 @@ def simulate(
 
     is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
 
-    # numpy is imported here, not at module scope, so the commands that never
-    # sample (bound, presets, linkbudget, scales, validate) do not load it.
-    import numpy as np
-
     # Cell 4*s + o: setting combination s (probability 1/4) and outcome o.
     angle_pairs = settings.pairs()
     row_model = "quantum" if is_connected else model.fallback
-    tables = np.array(
-        [outcome_probabilities(row_model, a, b) for a, b in angle_pairs], dtype=np.float64
-    )
-    p = tables.ravel() / 4.0
-    rng = np.random.Generator(np.random.Philox(seed & _SEED_MASK))
+    p = [x / 4.0 for a, b in angle_pairs for x in outcome_probabilities(row_model, a, b)]
+    bitgen = Philox(seed & _SEED_MASK)
     n_rec = min(trace_limit, n_pairs)
-    # A zero-size draw would leave the Philox state as it is, so it is skipped.
-    traced = rng.choice(16, size=n_rec, p=p) if n_rec else np.zeros(0, dtype=np.int64)
-    tally = np.bincount(traced, minlength=16) + rng.multinomial(n_pairs - n_rec, p)
-    cells = tally.reshape(4, 4)
+    traced = choice(bitgen, p, n_rec)
+    tally = multinomial(bitgen, n_pairs - n_rec, p)
+    for cell in traced:
+        tally[cell] += 1
 
     # A traced pair is its cell, so each cell's record is built once and shared.
     cell_records = [PairRecord(angle_pairs[c // 4], OUTCOMES[c % 4]) for c in range(16)] if n_rec else []
-    records = tuple(map(cell_records.__getitem__, traced.tolist()))
+    records = tuple(map(cell_records.__getitem__, traced))
 
-    counts = cells.sum(axis=1)
-    prod_sums = cells @ [a * b for a, b in OUTCOMES]
-    e_hat = np.full(4, np.nan)
-    nonzero = counts > 0
-    e_hat[nonzero] = prod_sums[nonzero] / counts[nonzero]
+    # The same floats as numpy's int64 tallies: each division is float / float,
+    # and the variance sum adds from 0.0 in setting order.
+    rows = [tally[4 * s : 4 * s + 4] for s in range(4)]
+    counts = tuple(sum(row) for row in rows)
+    prod_sums = [sum(k * a * b for k, (a, b) in zip(row, OUTCOMES)) for row in rows]
+    e_hat = tuple(float(ps) / float(count) if count else math.nan for ps, count in zip(prod_sums, counts))
     s_hat = 0.0
     for sign, e in zip(CHSH_SIGNS, e_hat):
-        s_hat += sign * float(e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stderr = float(np.sqrt(np.sum((1.0 - e_hat**2) / counts)))
+        s_hat += sign * e
+    var = 0.0
+    for e, count in zip(e_hat, counts):
+        var += (1.0 - e * e) / count if count else math.nan
+    stderr = math.sqrt(var)
 
     return SimulationResult(
-        e_hat=tuple(float(x) for x in e_hat),
-        counts=tuple(int(x) for x in counts),
+        e_hat=e_hat,
+        counts=counts,
         s_hat=s_hat,
         stderr_s=stderr,
         connected=is_connected,

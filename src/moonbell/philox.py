@@ -9,15 +9,16 @@ with weights and ``multinomial``, whose binomials use inversion or BTPE
 C code step for step, including where its int64 arithmetic wraps and where
 C's math functions and casts give inf, NaN or INT64_MIN instead of raising,
 so every draw equals numpy's bit for bit (``tests/test_philox.py`` checks
-them against numpy).  Keeping numpy out of moonbell's runtime saves every
-sampling command the cost of importing it.
+them against numpy).  Philox's 64-bit words are packed into and read from
+explicit little-endian bytes, so the stream is the same on any host.  Keeping
+numpy out of moonbell's runtime saves every sampling command the cost of
+importing it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+import struct
 from bisect import bisect_right
 from functools import partial
 
@@ -37,8 +38,9 @@ _POOL_SIZE = 4
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-# Blocks next_double generates at a time: the 16-cell multinomial of a run
-# draws ~35 doubles.
+# The fewest blocks a refill generates.  One run's 16-cell multinomial reads
+# a median of 34 doubles and at most 44 (50 seeds of each outcome model at 1e5
+# and 1e7 pairs, default settings), so one refill of 64 words covers a run.
 _REFILL_BLOCKS = 16
 
 
@@ -87,14 +89,6 @@ def seed_state(entropy: list[int], n_words: int) -> list[int]:
     return [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(n_words)]
 
 
-def _unpack(x: int, count: int) -> array:
-    """The low 64-bit word of each of ``x``'s ``count`` 128-bit lanes."""
-    words = array("Q", x.to_bytes(16 * count, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words[::2]
-
-
 class Philox:
     """The word stream of ``numpy.random.Philox(seed)``: Philox4x64-10 keyed
     by ``SeedSequence(seed)``, counter from zero, four words per block."""
@@ -114,15 +108,15 @@ class Philox:
 
         Every block runs in its own 128-bit lane of one int per word, so a
         round is a few whole-int operations: a lane's 64x64-bit product fits
-        in its lane.  The counter's upper three words stay zero, since no run
-        draws 2**64 blocks.
+        in its lane.  A lane is little-endian bytes, a 64-bit word then eight
+        zero bytes, on any host; its ``Struct`` stays out of ``struct``'s
+        cache, which would keep a large batch's format alive.  The counter's
+        upper three words stay zero, since no run draws 2**64 blocks.
         """
-        lanes = array("Q", bytes(16 * count))
-        lanes[::2] = array("Q", range(self._counter + 1, self._counter + count + 1))
+        lanes = struct.Struct("<" + "Q8x" * count)
+        counters = lanes.pack(*range(self._counter + 1, self._counter + count + 1))
         self._counter += count
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        x0, x1, x2, x3 = int.from_bytes(lanes.tobytes(), "little"), 0, 0, 0
+        x0, x1, x2, x3 = int.from_bytes(counters, "little"), 0, 0, 0
         ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
         low = ones * _M64
         for k0, k1 in self._keys:
@@ -136,20 +130,24 @@ class Philox:
             )
         out = [0] * (4 * count)
         for i, x in enumerate((x0, x1, x2, x3)):
-            out[i::4] = _unpack(x, count)
+            out[i::4] = lanes.unpack(x.to_bytes(16 * count, "little"))
         return out
+
+    def _refill(self, size: int) -> None:
+        """Make at least ``size`` words unread: keep the unread words and
+        append ``max(_REFILL_BLOCKS, ceil(missing / 4))`` blocks.  The stream
+        is counter-based, so the refill size never changes the next word."""
+        missing = size - (len(self._buffer) - self._pos)
+        words = self._blocks(max(_REFILL_BLOCKS, -(-missing // 4)))
+        words[:0] = self._buffer[self._pos :]
+        self._buffer, self._pos = words, 0
 
     def random_raw(self, size: int) -> list[int]:
         """The next ``size`` 64-bit words, as ``Philox.random_raw(size)``."""
-        out = self._buffer[self._pos : self._pos + size]
-        self._pos += len(out)
-        need = size - len(out)
-        if need > 0:
-            count = -(-need // 4)
-            words = self._blocks(count)
-            out += words[:need]
-            self._buffer, self._pos = words[-4:], need - 4 * (count - 1)
-        return out
+        if self._pos + size > len(self._buffer):
+            self._refill(size)
+        self._pos += size
+        return self._buffer[self._pos - size : self._pos]
 
     def random(self, size: int) -> list[float]:
         """The next ``size`` doubles in [0, 1), as ``Generator.random(size)``."""
@@ -158,8 +156,7 @@ class Philox:
     def next_double(self) -> float:
         """The next double in [0, 1), as ``Generator.random()``."""
         if self._pos == len(self._buffer):
-            # Blocks cost little more in bulk, and the stream is the same.
-            self._buffer, self._pos = self._blocks(_REFILL_BLOCKS), 0
+            self._refill(1)
         self._pos += 1
         return (self._buffer[self._pos - 1] >> 11) * _TO_DOUBLE
 

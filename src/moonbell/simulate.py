@@ -134,7 +134,8 @@ def simulate(
     p = [x / 4.0 for a, b in angle_pairs for x in outcome_probabilities(row_model, a, b)]
     bitgen = Philox(seed & _SEED_MASK)
     n_rec = min(trace_limit, n_pairs)
-    traced = choice(bitgen, p, n_rec)
+    # Drawing no traced pair reads no word, so an untraced run skips choice.
+    traced = choice(bitgen, p, n_rec) if n_rec else []
     tally = multinomial(bitgen, n_pairs - n_rec, p)
     for cell in traced:
         tally[cell] += 1

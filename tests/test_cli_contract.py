@@ -256,3 +256,29 @@ def test_any_scenario_document_exits_with_a_contract_code(tmp_path, document, co
     code, stderr = _run([command[0], str(path), *command[1:]])
     assert code in CONTRACT, (document, command, code, stderr)
     assert "Traceback" not in stderr
+
+
+_REPORT_ARGVS = {
+    "bound": ["bound", "gisin1999"],
+    "simulate": ["simulate", "gisin1999", "-n", "1000", "--trace", "2"],
+    "sweep": ["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "2", "-n", "1000", "--out"],
+    "linkbudget": ["linkbudget", "--length-a", "384400km", "--length-b", "500km", "--pair-rate", "1e9"],
+    "scales": ["scales"],
+    "validate": ["validate"],
+    "presets": ["presets"],
+}
+
+
+@pytest.mark.parametrize("section", ["inputs", "results"])
+@pytest.mark.parametrize("command", list(_REPORT_ARGVS))
+def test_schema_rejects_a_key_the_command_never_prints(tmp_path, command, section):
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(scenario_to_dict(preset("gisin1999"))))
+    path = {"sweep": [str(tmp_path / "out.csv")], "validate": [str(scenario_file)]}.get(command, [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*_REPORT_ARGVS[command], *path]) == 0
+    report = json.loads(out.getvalue())
+    _REPORT_SCHEMA.validate(report)
+    report[section]["unexpected"] = 1
+    assert not _REPORT_SCHEMA.is_valid(report)

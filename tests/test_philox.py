@@ -66,16 +66,16 @@ def test_seed_state_rejects_negative_entropy_as_numpy_does():
 
 
 @hyp_settings(max_examples=200, deadline=None)
-@given(_SEEDS, st.lists(st.integers(0, 13), max_size=8))
+@given(_SEEDS, st.lists(st.integers(0, 200), max_size=8))
 def test_philox_stream_is_numpy_philox(seed, sizes):
-    """Raw words in chunks that start and stop inside and across blocks."""
+    """Raw words in chunks that start and stop inside and across blocks and refills."""
     ours, theirs = philox.Philox(seed), np.random.Philox(seed)
     for size in sizes:
         assert ours.random_raw(size) == [int(x) for x in theirs.random_raw(size)]
 
 
 @hyp_settings(max_examples=200, deadline=None)
-@given(_SEEDS, st.lists(st.tuples(st.booleans(), st.integers(0, 9)), max_size=8))
+@given(_SEEDS, st.lists(st.tuples(st.booleans(), st.integers(0, 200)), max_size=8))
 def test_uniforms_are_generator_random(seed, steps):
     """``random(size)`` and ``next_double()`` share one buffered stream."""
     ours, theirs = philox.Philox(seed), np.random.Generator(np.random.Philox(seed))
@@ -92,6 +92,7 @@ def test_long_stream_matches_numpy():
     ours, theirs = philox.Philox(2**64 - 1), np.random.Philox(2**64 - 1)
     assert ours.random_raw(40_003) == [int(x) for x in theirs.random_raw(40_003)]
     assert ours.random_raw(6) == [int(x) for x in theirs.random_raw(6)]
+    assert ours.next_double() == np.random.Generator(theirs).random()
 
 
 @hyp_settings(max_examples=300, deadline=None)

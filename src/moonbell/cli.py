@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -186,6 +185,17 @@ def _has_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+def _json_string(text: str) -> str:
+    """``json.dumps(text)``: a printable ASCII str without a quote or a
+    backslash is written as it is; any other value goes through
+    ``json.encoder``, which loads only then and raises TypeError for a non-str."""
+    if isinstance(text, str) and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
 def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any]) -> None:
     """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys.
@@ -209,7 +219,7 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
             if isinstance(value, dict):
                 out.append("{")
                 for k, v in sorted(value.items()):
-                    out += (lead, encode_basestring_ascii(k), ": ")
+                    out += (lead, _json_string(k), ": ")
                     _json_chunks(v, depth + 1, out, seen)
                     lead = sep
                 out.append("\n" + "  " * depth + "}")
@@ -222,7 +232,7 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
                 out.append("\n" + "  " * depth + "]")
         seen[key] = (start, len(out))
     elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(_json_string(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -252,7 +262,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "text":
         # One line per key: a value that spans lines is written as its JSON literal.
         return "\n".join(
-            f"{key}: {encode_basestring_ascii(value) if isinstance(value, str) and _has_line_break(value) else value}"
+            f"{key}: {_json_string(value) if isinstance(value, str) and _has_line_break(value) else value}"
             for key, value in _flatten(report)
         ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
@@ -468,81 +478,93 @@ def cmd_presets(args: argparse.Namespace) -> tuple[dict, dict]:
     return {}, {"presets": [_scenario_summary(preset(name)) for name in PRESET_NAMES]}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order the full parser lists them.
+_COMMANDS = ("bound", "simulate", "sweep", "linkbudget", "scales", "validate", "presets")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given one of its subcommands, only that subcommand's
+    parser is built, and every usage line it prints stays the full parser's."""
     parser = argparse.ArgumentParser(
         prog="moonbell",
         description="Bell tests at astronomical distances: speed bounds, "
         "Monte Carlo simulation and link budgets.",
     )
     parser.add_argument("--version", action="version", version=f"moonbell {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The full parser names the action "command" in its missing-command error,
+    # which a parser built for one named command never prints.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    wanted = _COMMANDS if command is None else (command,)
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def add(name: str, func: Any, help_text: str, run_options: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        if run_options:
+            p.add_argument("--fallback", choices=FALLBACKS, default="uncorrelated")
+            p.add_argument("--settings", default=None,
+                           help="four analyzer angles a,a',b,b' (radians; 'deg' suffix accepted)")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted for compatibility (must be >= 1); changes nothing")
+            p.add_argument("--equalize-starts", action="store_true",
+                           help="delay the earlier measurement to the later photon arrival")
+            p.add_argument("--depart-at-end", action="store_true",
+                           help="influence departs at measurement completion instead of start")
+        return p
 
-    p = sub.add_parser("bound", parents=[fmt], help="Correlation-speed lower bound for a scenario.")
-    p.add_argument("scenario", help="preset name or scenario file path")
-    p.add_argument("--tau", default=None, help="measurement duration override, e.g. 10ps")
-    p.set_defaults(func=cmd_bound)
+    if "bound" in wanted:
+        p = add("bound", cmd_bound, "Correlation-speed lower bound for a scenario.")
+        p.add_argument("scenario", help="preset name or scenario file path")
+        p.add_argument("--tau", default=None, help="measurement duration override, e.g. 10ps")
 
-    sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--fallback", choices=FALLBACKS, default="uncorrelated")
-    sim.add_argument("--settings", default=None,
-                     help="four analyzer angles a,a',b,b' (radians; 'deg' suffix accepted)")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility (must be >= 1); changes nothing")
-    sim.add_argument("--equalize-starts", action="store_true",
-                     help="delay the earlier measurement to the later photon arrival")
-    sim.add_argument("--depart-at-end", action="store_true",
-                     help="influence departs at measurement completion instead of start")
+    if "simulate" in wanted:
+        p = add("simulate", cmd_simulate, "Monte Carlo run at one speed.", run_options=True)
+        p.add_argument("scenario")
+        p.add_argument("--v-over-c", default="inf", help="influence speed in units of c, or 'inf'")
+        p.add_argument("-n", "--pairs", type=int, default=100_000)
+        p.add_argument("--trace", type=int, default=0, help="include the first N pair records")
 
-    p = sub.add_parser("simulate", parents=[fmt, sim], help="Monte Carlo run at one speed.")
-    p.add_argument("scenario")
-    p.add_argument("--v-over-c", default="inf", help="influence speed in units of c, or 'inf'")
-    p.add_argument("-n", "--pairs", type=int, default=100_000)
-    p.add_argument("--trace", type=int, default=0, help="include the first N pair records")
-    p.set_defaults(func=cmd_simulate)
+    if "sweep" in wanted:
+        p = add("sweep", cmd_sweep, "S versus assumed speed, CSV output.", run_options=True)
+        p.add_argument("scenario")
+        p.add_argument("--v-min", type=float, required=True)
+        p.add_argument("--v-max", type=float, required=True)
+        p.add_argument("--points", type=int, default=20)
+        p.add_argument("--spacing", choices=("log", "linear"), default="log")
+        p.add_argument("-n", "--pairs", type=int, default=10_000, help="pairs per grid point")
+        p.add_argument("--out", required=True, help="CSV output path")
 
-    p = sub.add_parser("sweep", parents=[fmt, sim], help="S versus assumed speed, CSV output.")
-    p.add_argument("scenario")
-    p.add_argument("--v-min", type=float, required=True)
-    p.add_argument("--v-max", type=float, required=True)
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--spacing", choices=("log", "linear"), default="log")
-    p.add_argument("-n", "--pairs", type=int, default=10_000, help="pairs per grid point")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_sweep)
+    if "linkbudget" in wanted:
+        p = add("linkbudget", cmd_linkbudget, "Loss, rate and integration-time budget.")
+        p.add_argument("--length-a", required=True, help="arm A length, e.g. 384400km")
+        p.add_argument("--length-b", required=True)
+        p.add_argument("--ref-length", default="500km", help="reference link length")
+        p.add_argument("--ref-loss-db", type=float, default=0.0, help="total loss at the reference length")
+        p.add_argument("--eff-a", type=float, default=1.0)
+        p.add_argument("--eff-b", type=float, default=1.0)
+        p.add_argument("--pair-rate", type=float, required=True, help="source pair rate, pairs/s")
+        p.add_argument("--s-expected", type=float, default=TSIRELSON_BOUND)
+        p.add_argument("--k-sigma", type=float, default=3.0)
 
-    p = sub.add_parser("linkbudget", parents=[fmt], help="Loss, rate and integration-time budget.")
-    p.add_argument("--length-a", required=True, help="arm A length, e.g. 384400km")
-    p.add_argument("--length-b", required=True)
-    p.add_argument("--ref-length", default="500km", help="reference link length")
-    p.add_argument("--ref-loss-db", type=float, default=0.0, help="total loss at the reference length")
-    p.add_argument("--eff-a", type=float, default=1.0)
-    p.add_argument("--eff-b", type=float, default=1.0)
-    p.add_argument("--pair-rate", type=float, required=True, help="source pair rate, pairs/s")
-    p.add_argument("--s-expected", type=float, default=TSIRELSON_BOUND)
-    p.add_argument("--k-sigma", type=float, default=3.0)
-    p.set_defaults(func=cmd_linkbudget)
+    if "scales" in wanted:
+        p = add("scales", cmd_scales, "A-priori speed/distance scale survey.")
+        p.add_argument("--n-values", default=None,
+                       help="comma-separated exponents (default -1,0,1); a list that starts "
+                       "with a negative one needs the = form, --n-values=-1,0,1")
+        p.add_argument("--mass", type=float, default=CONSTANTS.m_proton, help="coupling mass, kg")
+        p.add_argument("--d-min", type=float, default=EARTH_MOON_WINDOW.d_min_m,
+                       help="observable window floor, m")
+        p.add_argument("--d-max", type=float, default=EARTH_MOON_WINDOW.d_max_m,
+                       help="observable window ceiling, m")
 
-    p = sub.add_parser("scales", parents=[fmt], help="A-priori speed/distance scale survey.")
-    p.add_argument("--n-values", default=None,
-                   help="comma-separated exponents (default -1,0,1); a list that starts "
-                   "with a negative one needs the = form, --n-values=-1,0,1")
-    p.add_argument("--mass", type=float, default=CONSTANTS.m_proton, help="coupling mass, kg")
-    p.add_argument("--d-min", type=float, default=EARTH_MOON_WINDOW.d_min_m,
-                   help="observable window floor, m")
-    p.add_argument("--d-max", type=float, default=EARTH_MOON_WINDOW.d_max_m,
-                   help="observable window ceiling, m")
-    p.set_defaults(func=cmd_scales)
+    if "validate" in wanted:
+        p = add("validate", cmd_validate, "Check a scenario file against the schema.")
+        p.add_argument("file")
 
-    p = sub.add_parser("validate", parents=[fmt], help="Check a scenario file against the schema.")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("presets", parents=[fmt], help="List built-in scenarios.")
-    p.set_defaults(func=cmd_presets)
+    if "presets" in wanted:
+        add("presets", cmd_presets, "List built-in scenarios.")
 
     return parser
 
@@ -550,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: each ``cmd_*`` returns its echoed inputs and its
     results, and only this function builds, renders and writes the report."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         inputs, results = args.func(args)

@@ -44,6 +44,24 @@ _PHILOX_ROUNDS = 10
 _REFILL_BLOCKS = 16
 
 
+def _hash_constants(init: int, mult: int, hashes: int) -> list[int]:
+    """The constants of ``hashes`` successive hashes: hash j xors entry j into
+    its value and multiplies by entry j + 1, whatever the values hashed."""
+    constants = [init]
+    for _ in range(hashes):
+        constants.append(constants[-1] * mult & _M32)
+    return constants
+
+
+# Enough for entropy of up to four words and two output words, which covers
+# every sweep sub-seed and every Philox key.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 4)
+# The pool's cross mix, (source, destination) in order: each pool word is
+# hashed into each other one.
+_CROSS_MIX = tuple((src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst)
+
+
 def seed_state(entropy: list[int], n_words: int) -> list[int]:
     """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` as ints,
     for a list of non-negative ints."""
@@ -57,35 +75,28 @@ def seed_state(entropy: list[int], n_words: int) -> list[int]:
             words.append(value & _M32)
             value >>= 32
 
-    hash_const = _INIT_A
+    # After the pool's own words, each entropy word past the pool is hashed
+    # into every pool word; mixing writes only to the pool.
+    mixes = _CROSS_MIX + tuple(
+        (src, dst) for src in range(_POOL_SIZE, len(words)) for dst in range(_POOL_SIZE)
+    )
+    hashes = _POOL_SIZE + len(mixes)
+    a = _HASH_A if hashes < len(_HASH_A) else _hash_constants(_INIT_A, _MULT_A, hashes)
+    pool = []
+    for j, word in enumerate(words[:_POOL_SIZE] + [0] * (_POOL_SIZE - len(words))):
+        value = (word ^ a[j]) * a[j + 1] & _M32
+        pool.append(value ^ value >> 16)
+    pool += words[_POOL_SIZE:]
+    for j, (src, dst) in enumerate(mixes, _POOL_SIZE):
+        value = (pool[src] ^ a[j]) * a[j + 1] & _M32
+        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _M32
+        pool[dst] = mixed ^ mixed >> 16
 
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _M32
-        value = (value * hash_const) & _M32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
+    b = _HASH_B if 2 * n_words < len(_HASH_B) else _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
     halves = []
     for i in range(2 * n_words):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _M32
-        value = (value * hash_const) & _M32
-        halves.append(value ^ (value >> 16))
+        value = (pool[i % _POOL_SIZE] ^ b[i]) * b[i + 1] & _M32
+        halves.append(value ^ value >> 16)
     return [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(n_words)]
 
 

@@ -8,7 +8,6 @@ from the source to the detector; mirrors appear as intermediate vertices.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, NamedTuple
 
@@ -341,6 +340,8 @@ def load_scenario(document: str | dict) -> Scenario:
     Each object's required fields are checked before any of its values is read.
     """
     if isinstance(document, str):
+        import json  # loaded only to parse text: no preset run needs it
+
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
@@ -387,4 +388,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
+    import json
+
     return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)

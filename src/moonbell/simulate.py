@@ -89,6 +89,47 @@ def derive_seed(seed: int, index: int) -> int:
     return seed_state([seed & _SEED_MASK, index], 1)[0]
 
 
+def _check_pairs(n_pairs: int) -> None:
+    if n_pairs < 4:
+        raise ValueError(f"n_pairs (-n/--pairs) must be at least 4, got {n_pairs}")
+    if n_pairs > 2**63 - 1:  # the multinomial counts in int64, as numpy's does
+        raise ValueError(f"n_pairs (-n/--pairs) must be at most 2**63 - 1, got {n_pairs}")
+
+
+def _cells(settings: ChshSettings, row_model: str) -> list[float]:
+    """The 16-cell table: cell 4*s + o is setting combination s (probability
+    1/4) with outcome o under ``row_model``."""
+    return [x / 4.0 for a, b in settings.pairs() for x in outcome_probabilities(row_model, a, b)]
+
+
+def _sample(
+    p: list[float], n_pairs: int, seed: int, n_rec: int = 0
+) -> tuple[list[int], tuple[float, ...], tuple[int, ...], float, float]:
+    """One run of ``n_pairs`` draws from table ``p`` keyed by ``seed``: the
+    cells of the first ``n_rec`` pairs, then ``e_hat``, ``counts``, ``s_hat``
+    and ``stderr_s`` over all pairs."""
+    bitgen = Philox(seed & _SEED_MASK)
+    # Drawing no traced pair reads no word, so an untraced run skips choice.
+    traced = choice(bitgen, p, n_rec) if n_rec else []
+    tally = multinomial(bitgen, n_pairs - n_rec, p)
+    for cell in traced:
+        tally[cell] += 1
+
+    # The same floats as numpy's int64 tallies: each division is float / float,
+    # and the variance sum adds from 0.0 in setting order.
+    rows = [tally[4 * s : 4 * s + 4] for s in range(4)]
+    counts = tuple(sum(row) for row in rows)
+    prod_sums = [sum(k * a * b for k, (a, b) in zip(row, OUTCOMES)) for row in rows]
+    e_hat = tuple(float(ps) / float(count) if count else math.nan for ps, count in zip(prod_sums, counts))
+    s_hat = 0.0
+    for sign, e in zip(CHSH_SIGNS, e_hat):
+        s_hat += sign * e
+    var = 0.0
+    for e, count in zip(e_hat, counts):
+        var += (1.0 - e * e) / count if count else math.nan
+    return traced, e_hat, counts, s_hat, math.sqrt(var)
+
+
 def simulate(
     scenario: Scenario,
     model: CollapseModel,
@@ -115,10 +156,7 @@ def simulate(
     so ``s_hat`` and ``stderr_s`` are nan too.  This is a result, not an
     error; the CLI prints the values as ``"nan"`` and exits 0.
     """
-    if n_pairs < 4:
-        raise ValueError(f"n_pairs (-n/--pairs) must be at least 4, got {n_pairs}")
-    if n_pairs > 2**63 - 1:  # the multinomial counts in int64, as numpy's does
-        raise ValueError(f"n_pairs (-n/--pairs) must be at most 2**63 - 1, got {n_pairs}")
+    _check_pairs(n_pairs)
     if trace_limit < 0:
         raise ValueError(f"trace_limit (--trace) must be >= 0, got {trace_limit}")
     if min(trace_limit, n_pairs) > MAX_TRACE:
@@ -127,44 +165,20 @@ def simulate(
         raise ValueError("workers must be >= 1")
 
     is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
-
-    # Cell 4*s + o: setting combination s (probability 1/4) and outcome o.
-    angle_pairs = settings.pairs()
-    row_model = "quantum" if is_connected else model.fallback
-    p = [x / 4.0 for a, b in angle_pairs for x in outcome_probabilities(row_model, a, b)]
-    bitgen = Philox(seed & _SEED_MASK)
     n_rec = min(trace_limit, n_pairs)
-    # Drawing no traced pair reads no word, so an untraced run skips choice.
-    traced = choice(bitgen, p, n_rec) if n_rec else []
-    tally = multinomial(bitgen, n_pairs - n_rec, p)
-    for cell in traced:
-        tally[cell] += 1
+    p = _cells(settings, "quantum" if is_connected else model.fallback)
+    traced, e_hat, counts, s_hat, stderr = _sample(p, n_pairs, seed, n_rec)
 
     # A traced pair is its cell, so each cell's record is built once and shared.
+    angle_pairs = settings.pairs()
     cell_records = [PairRecord(angle_pairs[c // 4], OUTCOMES[c % 4]) for c in range(16)] if n_rec else []
-    records = tuple(map(cell_records.__getitem__, traced))
-
-    # The same floats as numpy's int64 tallies: each division is float / float,
-    # and the variance sum adds from 0.0 in setting order.
-    rows = [tally[4 * s : 4 * s + 4] for s in range(4)]
-    counts = tuple(sum(row) for row in rows)
-    prod_sums = [sum(k * a * b for k, (a, b) in zip(row, OUTCOMES)) for row in rows]
-    e_hat = tuple(float(ps) / float(count) if count else math.nan for ps, count in zip(prod_sums, counts))
-    s_hat = 0.0
-    for sign, e in zip(CHSH_SIGNS, e_hat):
-        s_hat += sign * e
-    var = 0.0
-    for e, count in zip(e_hat, counts):
-        var += (1.0 - e * e) / count if count else math.nan
-    stderr = math.sqrt(var)
-
     return SimulationResult(
         e_hat=e_hat,
         counts=counts,
         s_hat=s_hat,
         stderr_s=stderr,
         connected=is_connected,
-        records=records,
+        records=tuple(map(cell_records.__getitem__, traced)),
     )
 
 
@@ -179,7 +193,10 @@ def sweep_speed(
 ) -> tuple[SweepPoint, ...]:
     """One simulated point per grid speed, in grid order.
 
-    Each point has its own sub-seed, from ``SeedSequence`` over (seed, point index).
+    Each point has its own sub-seed, from ``SeedSequence`` over (seed, point
+    index), and equals :func:`simulate` at that sub-seed.  The threshold and
+    both 16-cell tables are made once per sweep, after the first point's
+    model and sub-seed, where :func:`simulate` would check and make them.
     """
     grid = [float(v) for v in v_grid]
     if len(grid) == 0:
@@ -189,6 +206,12 @@ def sweep_speed(
     points = []
     for i, v in enumerate(grid):
         model = CollapseModel(v_over_c=v, fallback=fallback, depart_at_end=depart_at_end)
-        result = simulate(scenario, model, settings, n_pairs_per_point, derive_seed(seed, i))
-        points.append(SweepPoint(v, result.s_hat, result.stderr_s, result.connected))
+        sub_seed = derive_seed(seed, i)
+        if i == 0:
+            _check_pairs(n_pairs_per_point)
+            v_star = critical_speed(scenario, depart_at_end)
+            tables = {False: _cells(settings, fallback), True: _cells(settings, "quantum")}
+        connected = model.v_over_c >= v_star
+        _, _, _, s_hat, stderr = _sample(tables[connected], n_pairs_per_point, sub_seed)
+        points.append(SweepPoint(v, s_hat, stderr, connected))
     return tuple(points)

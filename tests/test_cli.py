@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import jsonschema
 import pytest
 
 from moonbell import claims_as_dicts, preset, scenario_to_json
-from moonbell.cli import main
+from moonbell.cli import build_parser, main
 from moonbell.bounds import scenario_timing
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -789,3 +790,55 @@ def test_unit_parse_error_names_flag_and_input(argv, needle):
     assert proc.stdout == ""
     assert needle in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_SWEEP = ("sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "1000")
+_COMMANDS = ("bound", "simulate", "sweep", "linkbudget", "scales", "validate", "presets")
+
+
+def _parse_exit(parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, as argparse's usage paths do."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        parse(argv)
+    return exited.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["--version"],
+        [],
+        ["nosuch"],
+        *([command, "--help"] for command in _COMMANDS),
+        ["bound"],
+        ["sweep", "gisin1999", "--v-min", "1e6", "--out", "x.csv"],
+        ["linkbudget", "--length-a", "1km", "--length-b", "1km"],
+        ["presets", "--format", "yaml"],
+        ["bound", "gisin1999", "--format", "yaml"],
+        # The top-level parser reports these, so its usage lists all seven commands.
+        [*_SWEEP, "--out", "x.csv", "--bogus"],
+        ["presets", "extra"],
+        ["bound", "gisin1999", "--version"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argv",
+)
+def test_usage_and_parse_errors_are_the_full_parsers(argv):
+    # main builds only the named command's parser; what it prints must not show that.
+    assert _parse_exit(main, argv) == _parse_exit(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_command_parser_holds_only_that_command(command):
+    (subparsers,) = build_parser(command)._subparsers._group_actions
+    assert list(subparsers.choices) == [command]
+    (full,) = build_parser()._subparsers._group_actions
+    assert list(full.choices) == list(_COMMANDS)
+
+
+def test_sweep_pair_count_error_keeps_its_message(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main([*_SWEEP[:-1], "3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: n_pairs (-n/--pairs) must be at least 4, got 3\n")
+    assert not out.exists()

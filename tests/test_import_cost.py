@@ -47,14 +47,15 @@ def test_no_command_imports_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# The steps arrive as a repr, so that the script itself loads no json.
 _MODULES_SCRIPT = """
-import json, sys
+import ast, sys
 import moonbell.cli as cli
 
 def loaded(names):
     return [m for m in names if m in sys.modules]
 
-for argv, absent in json.loads(sys.argv[1]):
+for argv, absent in ast.literal_eval(sys.argv[1]):
     assert cli.main(argv) == 0, argv
     assert not loaded(absent), (argv, loaded(absent))
 assert cli.main(["simulate", "gisin1999", "-n", "1000"]) == 0
@@ -65,17 +66,22 @@ assert loaded(["moonbell.simulate", "numpy", "dataclasses"]) == ["moonbell.simul
 def test_commands_load_only_the_modules_they_run(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(scenario_to_json(preset("cao2017")))
-    neither = ["moonbell.simulate", "moonbell.philox", "moonbell.linkbudget", "numpy", "dataclasses"]
+    # Only a scenario file is parsed as JSON, and a report's plain strings
+    # need no escaping, so no command but validate FILE loads json.
+    neither = ["moonbell.simulate", "moonbell.philox", "moonbell.linkbudget", "numpy", "dataclasses", "json"]
     steps = [
         (["bound", "gisin1999"], neither),
         (["presets"], neither),
         (["scales"], neither),
-        (["validate", str(scenario)], neither),
         (["linkbudget", "--length-a", "384400km", "--length-b", "500km",
-          "--ref-loss-db", "30", "--pair-rate", "1e9"], ["moonbell.simulate", "moonbell.philox", "numpy", "dataclasses"]),
+          "--ref-loss-db", "30", "--pair-rate", "1e9"], ["moonbell.simulate", "moonbell.philox", "numpy", "dataclasses", "json"]),
+        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], ["numpy", "dataclasses", "json"]),
+        (["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "1000",
+          "--out", str(tmp_path / "sweep.csv")], ["numpy", "dataclasses", "json"]),
+        (["validate", str(scenario)], ["numpy", "dataclasses"]),
     ]
     proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_SCRIPT, json.dumps(steps)],
+        [sys.executable, "-c", _MODULES_SCRIPT, repr(steps)],
         capture_output=True,
         text=True,
     )
@@ -88,7 +94,7 @@ from moonbell import critical_speed, preset, scenario_timing
 
 v_star = critical_speed(preset("earth_moon_case3"))
 assert 0.0 < v_star < float("inf"), v_star
-loaded = [m for m in ("moonbell.simulate", "numpy", "dataclasses") if m in sys.modules]
+loaded = [m for m in ("moonbell.simulate", "moonbell.philox", "numpy", "dataclasses") if m in sys.modules]
 assert not loaded, loaded
 """
 

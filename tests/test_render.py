@@ -66,6 +66,17 @@ def test_json_render_fails_as_json_dumps_does(tree):
     assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "~", "plain text, 1/2", '"', "\\", "\x7f", "\x1f", "\t", "é", "\u2028", "\U0001f319"],
+)
+def test_json_render_escapes_strings_as_json_dumps(text):
+    # Printable ASCII without a quote or a backslash is written as it is;
+    # everything else goes through json.encoder.
+    tree = {text: text}
+    assert cli.render_report(tree, "json") == _dumps(tree)
+
+
 def test_json_render_takes_only_str_keys():
     # Every report key is a str; json.dumps would also quote int, float, bool and None keys.
     with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from moonbell import (
     symmetric_scenario,
     with_equalized_starts,
 )
-from moonbell.bell import OUTCOMES, outcome_probabilities
+from moonbell.bell import FALLBACKS, OUTCOMES, outcome_probabilities
 from moonbell.constants import FS_PER_SECOND
 from moonbell.bounds import _threshold
 from moonbell.simulate import PairRecord, derive_seed
@@ -338,6 +339,44 @@ def test_sweep_single_point_and_validation():
         sweep_speed(scen, "lhv", DEFAULT_SETTINGS, [], 1000, seed=0)
     with pytest.raises(ValueError):
         sweep_speed(scen, "lhv", DEFAULT_SETTINGS, [2.0, 1.0], 1000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n_pairs, message",
+    [
+        (3, "n_pairs (-n/--pairs) must be at least 4, got 3"),
+        (2**63, "n_pairs (-n/--pairs) must be at most 2**63 - 1, got 9223372036854775808"),
+    ],
+)
+def test_sweep_checks_pairs_after_the_grid_and_the_first_model(n_pairs, message):
+    scen = preset("gisin1999")
+
+    def raises(match, fallback="lhv", grid=(1e6, 1e8)):
+        with pytest.raises(ValueError, match=match):
+            sweep_speed(scen, fallback, DEFAULT_SETTINGS, list(grid), n_pairs, seed=0)
+
+    raises(re.escape(message))
+    raises("v_grid must not be empty", grid=())
+    raises("v_grid must be strictly ascending", grid=(2.0, 1.0))
+    raises(r"v_over_c \(--v-over-c\) must be > 0", grid=(-1.0, 1.0))
+    raises("fallback must be one of", fallback="telepathy")
+    # A later point's speed is checked only when that point is reached.
+    raises(re.escape(message), grid=(1.0, math.nan))
+    with pytest.raises(ValueError, match=r"v_over_c \(--v-over-c\) must be > 0"):
+        sweep_speed(scen, "lhv", DEFAULT_SETTINGS, [1.0, math.nan], 1000, seed=0)
+
+
+@pytest.mark.parametrize("fallback", FALLBACKS)
+def test_sweep_point_is_simulate_at_its_sub_seed(fallback):
+    scen = preset("earth_moon_case3")
+    settings = ChshSettings(a=0.1, a_prime=0.9, b=0.4, b_prime=1.3)
+    v_star = critical_speed(scen, depart_at_end=True)
+    grid = [v_star / 2, math.nextafter(v_star, 0.0), v_star, v_star * 2, math.inf]
+    points = sweep_speed(scen, fallback, settings, grid, 5000, seed=11, depart_at_end=True)
+    assert [p.connected for p in points] == [False, False, True, True, True]
+    for i, (v, point) in enumerate(zip(grid, points)):
+        result = simulate(scen, CollapseModel(v, fallback, True), settings, 5000, derive_seed(11, i))
+        assert point == (v, result.s_hat, result.stderr_s, result.connected)
 
 
 def test_derive_seed_spreads():

@@ -14,6 +14,10 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any
 
+# CPython's C string encoder, which json.encoder itself uses; importing the
+# extension directly does not load the json package.
+from _json import encode_basestring_ascii
+
 from . import __version__
 from .bell import DEFAULT_SETTINGS, FALLBACKS, TSIRELSON_BOUND, ChshSettings
 from .bounds import (
@@ -185,17 +189,6 @@ def _has_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
-def _json_string(text: str) -> str:
-    """``json.dumps(text)``: a printable ASCII str without a quote or a
-    backslash is written as it is; any other value goes through
-    ``json.encoder``, which loads only then and raises TypeError for a non-str."""
-    if isinstance(text, str) and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return '"' + text + '"'
-    from json.encoder import encode_basestring_ascii
-
-    return encode_basestring_ascii(text)
-
-
 def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any]) -> None:
     """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys.
@@ -219,7 +212,7 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
             if isinstance(value, dict):
                 out.append("{")
                 for k, v in sorted(value.items()):
-                    out += (lead, _json_string(k), ": ")
+                    out += (lead, encode_basestring_ascii(k), ": ")
                     _json_chunks(v, depth + 1, out, seen)
                     lead = sep
                 out.append("\n" + "  " * depth + "}")
@@ -232,7 +225,7 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
                 out.append("\n" + "  " * depth + "]")
         seen[key] = (start, len(out))
     elif isinstance(value, str):
-        out.append(_json_string(value))
+        out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -262,7 +255,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "text":
         # One line per key: a value that spans lines is written as its JSON literal.
         return "\n".join(
-            f"{key}: {_json_string(value) if isinstance(value, str) and _has_line_break(value) else value}"
+            f"{key}: {encode_basestring_ascii(value) if isinstance(value, str) and _has_line_break(value) else value}"
             for key, value in _flatten(report)
         ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -17,7 +17,7 @@ changes neither the output nor the process count.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
 from .bounds import critical_speed
@@ -102,6 +102,22 @@ def _cells(settings: ChshSettings, row_model: str) -> list[float]:
     return [x / 4.0 for a, b in settings.pairs() for x in outcome_probabilities(row_model, a, b)]
 
 
+def _run_table(
+    scenario: Scenario, fallback: str, settings: ChshSettings, depart_at_end: bool
+) -> Callable[[float], tuple[bool, list[float]]]:
+    """For runs of ``scenario`` under ``fallback`` and ``settings``: a map from
+    a speed to the run's verdict (connected or not) and its 16-cell table.
+    The threshold and both tables are made once, here."""
+    v_star = critical_speed(scenario, depart_at_end)
+    tables = {True: _cells(settings, "quantum"), False: _cells(settings, fallback)}
+
+    def table(v_over_c: float) -> tuple[bool, list[float]]:
+        connected = v_over_c >= v_star
+        return connected, tables[connected]
+
+    return table
+
+
 def _sample(
     p: list[float], n_pairs: int, seed: int, n_rec: int = 0
 ) -> tuple[list[int], tuple[float, ...], tuple[int, ...], float, float]:
@@ -164,9 +180,8 @@ def simulate(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    is_connected = model.v_over_c >= critical_speed(scenario, model.depart_at_end)
+    is_connected, p = _run_table(scenario, model.fallback, settings, model.depart_at_end)(model.v_over_c)
     n_rec = min(trace_limit, n_pairs)
-    p = _cells(settings, "quantum" if is_connected else model.fallback)
     traced, e_hat, counts, s_hat, stderr = _sample(p, n_pairs, seed, n_rec)
 
     # A traced pair is its cell, so each cell's record is built once and shared.
@@ -209,9 +224,8 @@ def sweep_speed(
         sub_seed = derive_seed(seed, i)
         if i == 0:
             _check_pairs(n_pairs_per_point)
-            v_star = critical_speed(scenario, depart_at_end)
-            tables = {False: _cells(settings, fallback), True: _cells(settings, "quantum")}
-        connected = model.v_over_c >= v_star
-        _, _, _, s_hat, stderr = _sample(tables[connected], n_pairs_per_point, sub_seed)
+            table = _run_table(scenario, fallback, settings, depart_at_end)
+        connected, p = table(model.v_over_c)
+        _, _, _, s_hat, stderr = _sample(p, n_pairs_per_point, sub_seed)
         points.append(SweepPoint(v, s_hat, stderr, connected))
     return tuple(points)

@@ -71,8 +71,8 @@ def test_json_render_fails_as_json_dumps_does(tree):
     ["", " ", "~", "plain text, 1/2", '"', "\\", "\x7f", "\x1f", "\t", "é", "\u2028", "\U0001f319"],
 )
 def test_json_render_escapes_strings_as_json_dumps(text):
-    # Printable ASCII without a quote or a backslash is written as it is;
-    # everything else goes through json.encoder.
+    # The renderer escapes every string with _json's C encoder, which
+    # json.dumps uses too.
     tree = {text: text}
     assert cli.render_report(tree, "json") == _dumps(tree)
 

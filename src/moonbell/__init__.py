@@ -23,19 +23,12 @@ from .bell import (
     quantum_correlation,
 )
 from .bounds import (
-    EARTH_MOON_WINDOW,
-    MOND_SCALE_M,
-    AprioriCandidate,
     ArmTiming,
-    ObservationWindow,
     SpeedBound,
-    apriori_scales,
     cadence_threshold,
-    classify_scale,
     critical_speed,
     gain_factor,
     kappa,
-    mond_candidate,
     proper_time_correction,
     scenario_timing,
     speed_bound,
@@ -57,19 +50,31 @@ from .scenario import (
     UnknownPresetError,
     detector_separation,
     light_time,
-    load_scenario,
-    load_scenario_file,
     preset,
-    scenario_to_dict,
-    scenario_to_json,
     symmetric_scenario,
     with_equalized_starts,
 )
 
-# Names of the two modules that only sampling and link planning use. They are
-# loaded on first access (PEP 562), so `import moonbell` and the commands that
-# need neither stay short.
+# Names of the modules that only scenario documents, the scale survey,
+# sampling and link planning use. They are loaded on first access (PEP 562),
+# so `import moonbell` and the commands that need none of them stay short.
 _LAZY = {
+    **dict.fromkeys(
+        ("load_scenario", "load_scenario_file", "scenario_to_dict", "scenario_to_json"),
+        "document",
+    ),
+    **dict.fromkeys(
+        (
+            "EARTH_MOON_WINDOW",
+            "MOND_SCALE_M",
+            "AprioriCandidate",
+            "ObservationWindow",
+            "apriori_scales",
+            "classify_scale",
+            "mond_candidate",
+        ),
+        "scales",
+    ),
     **dict.fromkeys(
         (
             "LinkSpec",

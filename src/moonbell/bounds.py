@@ -11,8 +11,7 @@ The second connectivity rule, the event model of :func:`critical_speed`,
 charges L_0 + L_1 on one emission's integer-femtosecond timeline in the
 privileged frame (:func:`scenario_timing`).  This module also covers
 configuration-to-configuration gain factors, gravitational proper-time rate
-differences between sites, and the dimensional-analysis survey of a-priori
-speed/distance scales.
+differences between sites, and the gravitational coupling :func:`kappa`.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CONSTANTS, FS_PER_SECOND, checked
+from .constants import CONSTANTS, FS_PER_SECOND
 from .scenario import Scenario, light_time
-
-CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
 
 
 class SpeedBound(NamedTuple):
@@ -150,38 +147,12 @@ def cadence_threshold(correction_a: float, correction_b: float) -> float:
     per-event timestamps shift by a visible fraction of the spacing, so the
     proper-time correction must enter the timing analysis.
     """
-    if correction_a < 0.0 or correction_b < 0.0:
-        raise ValueError("corrections must be >= 0")
+    if not (correction_a >= 0.0 and correction_b >= 0.0):
+        raise ValueError(f"corrections must be >= 0, got {correction_a!r} and {correction_b!r}")
     worst = max(correction_a, correction_b)
     if worst == 0.0:
         raise ValueError("both corrections are zero; no finite cadence threshold")
     return 1.0 / worst
-
-
-@checked
-class ObservationWindow(NamedTuple):
-    """Distance scales an experiment can probe, m."""
-
-    d_min_m: float
-    d_max_m: float
-
-    def _checked(self) -> ObservationWindow:
-        if not self.d_min_m >= 0.0:
-            raise ValueError(f"window floor (--d-min) must be >= 0 m, got {self.d_min_m!r}")
-        if not self.d_max_m > self.d_min_m:
-            raise ValueError(
-                f"window ceiling (--d-max) must be > the floor (--d-min, {self.d_min_m!r} m), "
-                f"got {self.d_max_m!r}"
-            )
-        return self
-
-
-# What an Earth-Moon experiment can see: roughly centimetres up to ten times
-# the Earth-Moon distance.
-EARTH_MOON_WINDOW = ObservationWindow(1e-2, 10.0 * CONSTANTS.d_earth_moon_mean)
-
-# Distance scale of modified-gravity phenomenology, m.
-MOND_SCALE_M = 10.0 * CONSTANTS.kpc
 
 
 def kappa(mass_kg: float = CONSTANTS.m_proton) -> float:
@@ -199,96 +170,3 @@ def kappa(mass_kg: float = CONSTANTS.m_proton) -> float:
     if not 0.0 < k < math.inf:
         raise ValueError(f"mass (--mass) {mass_kg!r} kg puts kappa outside the float range")
     return k
-
-
-@checked
-class AprioriCandidate(NamedTuple):
-    """One dimensional-analysis candidate: speed V, distance scale D.
-
-    ``n`` is the power of kappa applied to the base values (V = c,
-    D = Planck length); ``n=None`` marks rows that do not come from the
-    kappa construction (the modified-gravity scale).  ``v_over_c`` may be
-    ``inf`` for the instantaneous base case or ``None`` when the hypothesis
-    fixes no speed.
-    """
-
-    n: int | None
-    v_over_c: float | None
-    d_m: float
-    classification: str
-
-    def _checked(self) -> AprioriCandidate:
-        if self.classification not in CLASSIFICATIONS:
-            raise ValueError(f"bad classification {self.classification!r}")
-        if self.v_over_c is not None and not self.v_over_c > 0.0:
-            raise ValueError("v_over_c must be > 0")
-        return self
-
-
-def classify_scale(d_m: float, window: ObservationWindow = EARTH_MOON_WINDOW) -> str:
-    """Deterministic, total classification of a distance scale.
-
-    Below the Planck length (or the window floor) the scale is excluded;
-    beyond the window ceiling it cannot be observed at Earth-Moon scale;
-    anything else is observable.
-    """
-    if d_m <= CONSTANTS.planck_length or d_m < window.d_min_m:
-        return "excluded"
-    if d_m > window.d_max_m:
-        return "unobservable_at_earth_moon"
-    return "observable"
-
-
-def apriori_scales(
-    n_values: list[int],
-    mass_kg: float = CONSTANTS.m_proton,
-    window: ObservationWindow = EARTH_MOON_WINDOW,
-) -> list[AprioriCandidate]:
-    """Enumerate kappa-power candidates for the given exponents.
-
-    Each exponent N yields V = kappa^N * c and D = kappa^N * (Planck
-    length).  The instantaneous base case (V infinite, D at the Planck
-    length) comes first, since fundamental constants alone allow V = c or
-    V = infinity.
-    """
-    if not n_values:
-        raise ValueError("n_values must not be empty")
-    k = kappa(mass_kg)
-    candidates = [
-        AprioriCandidate(
-            n=0,
-            v_over_c=math.inf,
-            d_m=CONSTANTS.planck_length,
-            classification=classify_scale(CONSTANTS.planck_length, window),
-        )
-    ]
-    for n in n_values:
-        try:
-            v_over_c = k**n
-        except OverflowError:
-            v_over_c = math.inf
-        if not 0.0 < v_over_c < math.inf:
-            raise ValueError(
-                f"kappa**{n} is outside the float range: exponent (--n-values) {n}, "
-                f"mass (--mass) {mass_kg!r} kg"
-            )
-        d_m = v_over_c * CONSTANTS.planck_length
-        candidates.append(
-            AprioriCandidate(
-                n=n,
-                v_over_c=v_over_c,
-                d_m=d_m,
-                classification=classify_scale(d_m, window),
-            )
-        )
-    return candidates
-
-
-def mond_candidate(window: ObservationWindow = EARTH_MOON_WINDOW) -> AprioriCandidate:
-    """The modified-gravity distance scale (about 10 kpc), no speed attached."""
-    return AprioriCandidate(
-        n=None,
-        v_over_c=None,
-        d_m=MOND_SCALE_M,
-        classification=classify_scale(MOND_SCALE_M, window),
-    )

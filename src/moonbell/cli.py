@@ -20,16 +20,7 @@ from _json import encode_basestring_ascii
 
 from . import __version__
 from .bell import DEFAULT_SETTINGS, FALLBACKS, TSIRELSON_BOUND, ChshSettings
-from .bounds import (
-    EARTH_MOON_WINDOW,
-    ObservationWindow,
-    apriori_scales,
-    critical_speed,
-    gain_factor,
-    mond_candidate,
-    scenario_timing,
-    speed_bound,
-)
+from .bounds import critical_speed, gain_factor, scenario_timing, speed_bound
 from .claims import claims_as_dicts
 from .constants import CONSTANTS
 from .scenario import (
@@ -37,20 +28,33 @@ from .scenario import (
     Scenario,
     UnknownPresetError,
     detector_separation,
-    load_scenario_file,
     preset,
     with_equalized_starts,
 )
 
 if TYPE_CHECKING:
+    from .document import load_scenario_file
     from .linkbudget import LinkSpec, budget_report
+    from .scales import EARTH_MOON_WINDOW, ObservationWindow, apriori_scales, mond_candidate
     from .simulate import CollapseModel, simulate, sweep_speed
 
-# Bound on first use, so that a command which neither samples nor plans a
-# link never loads moonbell.simulate or moonbell.linkbudget. They stay
-# attributes of this module that each command looks up when it runs, so a
-# caller may rebind them (bench/tracing.py wraps them in timing spans).
-_LAZY = ("CollapseModel", "simulate", "sweep_speed", "LinkSpec", "budget_report")
+# Bound on first use, so that a command loads moonbell.document only to read a
+# scenario file, moonbell.scales only for the scale survey, and
+# moonbell.simulate or moonbell.linkbudget only to sample or plan a link. They
+# stay attributes of this module that each command looks up when it runs, so
+# a caller may rebind them (bench/tracing.py wraps them in timing spans).
+_LAZY = (
+    "load_scenario_file",
+    "EARTH_MOON_WINDOW",
+    "ObservationWindow",
+    "apriori_scales",
+    "mond_candidate",
+    "CollapseModel",
+    "simulate",
+    "sweep_speed",
+    "LinkSpec",
+    "budget_report",
+)
 
 
 def __getattr__(name: str) -> Any:
@@ -132,6 +136,7 @@ def resolve_scenario(ref: str) -> Scenario:
     if ref in PRESET_NAMES:
         return preset(ref)
     if os.path.exists(ref):
+        _bind("load_scenario_file")
         return load_scenario_file(ref)
     raise UnknownPresetError(f"{ref!r} is neither a preset name nor an existing file")
 
@@ -439,6 +444,7 @@ def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
+    _bind("ObservationWindow", "apriori_scales", "mond_candidate")
     if args.n_values is not None:
         parts = [p.strip() for p in args.n_values.split(",") if p.strip()]
         if not parts:
@@ -463,6 +469,7 @@ def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
 def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict]:
     if not os.path.exists(args.file):
         raise UnknownPresetError(f"no such scenario file: {args.file}")
+    _bind("load_scenario_file")
     scenario = load_scenario_file(args.file)
     return {"file": args.file}, {"valid": True, "scenario": _scenario_summary(scenario)}
 
@@ -542,6 +549,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--k-sigma", type=float, default=3.0)
 
     if "scales" in wanted:
+        _bind("EARTH_MOON_WINDOW")
         p = add("scales", cmd_scales, "A-priori speed/distance scale survey.")
         p.add_argument("--n-values", default=None,
                        help="comma-separated exponents (default -1,0,1); a list that starts "

@@ -1,4 +1,4 @@
-"""Experiment geometries: sites, photon trace paths, presets and file I/O.
+"""Experiment geometries: sites, photon trace paths and presets.
 
 A :class:`Scenario` is a static snapshot of one Bell-test configuration in a
 single inertial frame (taken to be at rest with respect to the laboratory).
@@ -9,7 +9,7 @@ from the source to the detector; mirrors appear as intermediate vertices.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND, checked
 
@@ -49,28 +49,6 @@ class UnknownPresetError(LookupError):
     """Requested preset name is not one of :data:`PRESET_NAMES`."""
 
 
-def _as_number(value: Any, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError("must be a number", field)
-    try:
-        return float(value)
-    except OverflowError:  # JSON integers have no size limit
-        raise ScenarioError("number is out of float range", field) from None
-
-
-def _as_vec(value: Any, field: str) -> Vec:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError("expected a list of three numbers", field)
-    vec = (
-        _as_number(value[0], field),
-        _as_number(value[1], field),
-        _as_number(value[2], field),
-    )
-    if any(not math.isfinite(x) for x in vec):
-        raise ScenarioError("coordinates must be finite", field)
-    return vec
-
-
 @checked
 class Site(NamedTuple):
     """A named location, Cartesian metres in the privileged frame."""
@@ -102,6 +80,8 @@ class Arm(NamedTuple):
     def _checked(self) -> Arm:
         if len(self.path) < 2:
             raise ScenarioError("a trace path needs at least 2 vertices", "path")
+        if any(not math.isfinite(x) for vertex in self.path for x in vertex):
+            raise ScenarioError("path vertices must be finite", "path")
         for i in range(len(self.path) - 1):
             if math.dist(self.path[i], self.path[i + 1]) == 0.0:
                 raise ScenarioError(f"consecutive vertices {i} and {i + 1} coincide", "path")
@@ -169,8 +149,8 @@ def detector_separation(scenario: Scenario) -> float:
 
 def light_time(length_m: float) -> float:
     """Time light needs to cover ``length_m`` in vacuum, s."""
-    if length_m < 0.0:
-        raise ValueError("length must be >= 0")
+    if not length_m >= 0.0:
+        raise ValueError(f"length must be >= 0, got {length_m!r}")
     return length_m / CONSTANTS.c
 
 
@@ -280,114 +260,3 @@ def with_equalized_starts(scenario: Scenario) -> Scenario:
         for arm, arrival in zip(scenario.arms, arrivals)
     )
     return scenario._replace(arms=arms)
-
-
-# --- document I/O ---------------------------------------------------------
-#
-# Scenario files are UTF-8 JSON with the shape published in
-# docs/scenario_schema.json.  Unknown fields are rejected so typos fail
-# loudly instead of silently changing the geometry.
-
-
-def _object(
-    value: Any, field: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> dict:
-    """``value`` as an object with every ``required`` field and no field
-    outside ``required`` and ``optional``; ``field`` is "" for the document."""
-    if not isinstance(value, dict):
-        if not field:
-            raise ScenarioError("expected a JSON object at the top level")
-        raise ScenarioError("expected an object", field)
-    unknown = set(value).difference(required, optional)
-    if unknown:
-        raise ScenarioError(f"unknown field(s) {sorted(unknown)}", field or "document")
-    for key in required:
-        if key not in value:
-            raise ScenarioError("required field missing", f"{field}.{key}" if field else key)
-    return value
-
-
-def _as_str(value: Any, field: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{field.rsplit('.', 1)[-1]} must be a string", field)
-    return value
-
-
-def _site_from_dict(obj: Any, field: str) -> Site:
-    obj = _object(obj, field, ("name", "position"))
-    name = _as_str(obj["name"], f"{field}.name")
-    return Site(name, _as_vec(obj["position"], f"{field}.position"))
-
-
-def _arm_from_dict(obj: Any, field: str) -> Arm:
-    obj = _object(obj, field, ("detector", "path", "tau_s"), ("offset_s",))
-    detector = _site_from_dict(obj["detector"], f"{field}.detector")
-    path_raw = obj["path"]
-    if not isinstance(path_raw, list) or len(path_raw) < 2:
-        raise ScenarioError("path must be a list of at least 2 points", f"{field}.path")
-    vertices = tuple(_as_vec(v, f"{field}.path[{i}]") for i, v in enumerate(path_raw))
-    tau_s = _as_number(obj["tau_s"], f"{field}.tau_s")
-    offset_s = _as_number(obj.get("offset_s", 0.0), f"{field}.offset_s")
-    try:
-        return Arm(detector, vertices, tau_s, offset_s)
-    except ScenarioError as exc:
-        raise ScenarioError(exc.reason, f"{field}.{exc.field}") from exc
-
-
-def load_scenario(document: str | dict) -> Scenario:
-    """Build and validate a :class:`Scenario` from JSON text or an already-parsed dict.
-
-    Each object's required fields are checked before any of its values is read.
-    """
-    if isinstance(document, str):
-        import json  # loaded only to parse text: no preset run needs it
-
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise ScenarioError("not valid JSON: nested too deeply") from None
-    document = _object(document, "", ("name", "source", "arms"), ("frame_note",))
-    name = _as_str(document["name"], "name")
-    source = _site_from_dict(document["source"], "source")
-    arms_raw = document["arms"]
-    if not isinstance(arms_raw, list) or len(arms_raw) != 2:
-        raise ScenarioError("arms must be a list of exactly 2 entries", "arms")
-    arms = tuple(_arm_from_dict(a, f"arms[{i}]") for i, a in enumerate(arms_raw))
-    default_note = Scenario._field_defaults["frame_note"]
-    frame_note = _as_str(document.get("frame_note", default_note), "frame_note")
-    return Scenario(name=name, source=source, arms=arms, frame_note=frame_note)
-
-
-def load_scenario_file(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return load_scenario(text)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize to the published document shape (round-trip exact)."""
-    return {
-        "name": scenario.name,
-        "source": {"name": scenario.source.name, "position": list(scenario.source.position)},
-        "arms": [
-            {
-                "detector": {"name": a.detector.name, "position": list(a.detector.position)},
-                "path": [list(v) for v in a.path],
-                "tau_s": a.tau_s,
-                "offset_s": a.offset_s,
-            }
-            for a in scenario.arms
-        ],
-        "frame_note": scenario.frame_note,
-    }
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    import json
-
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)

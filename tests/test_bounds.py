@@ -6,12 +6,15 @@ import pytest
 from moonbell import (
     CONSTANTS,
     EARTH_MOON_WINDOW,
+    Arm,
     ObservationWindow,
+    ScenarioError,
     apriori_scales,
     cadence_threshold,
     classify_scale,
     gain_factor,
     kappa,
+    light_time,
     load_scenario,
     mond_candidate,
     preset,
@@ -213,3 +216,22 @@ def test_window_validation():
     with pytest.raises(ValueError, match="must be >= 0 m, got -1.0"):
         ObservationWindow(-1.0, 0.0)
     assert ObservationWindow(0.0, math.inf).d_min_m == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: light_time(math.nan), ValueError, "length must be >= 0, got nan"),
+        (lambda: classify_scale(math.nan), ValueError, "distance scale must be a number, got nan"),
+        (lambda: cadence_threshold(math.nan, 0.1), ValueError, "corrections must be >= 0, got nan and 0.1"),
+        (lambda: cadence_threshold(0.1, math.nan), ValueError, "corrections must be >= 0, got 0.1 and nan"),
+        # An arm's path length reaches light_time; the arm names the field instead.
+        (lambda: Arm(preset("gisin1999").arms[0].detector, ((math.nan, 0.0, 0.0), (-5300.0, 0.0, 0.0)), 5e-12),
+         ScenarioError, "path: path vertices must be finite"),
+    ],
+    ids=["light_time", "classify_scale", "cadence_threshold_a", "cadence_threshold_b", "arm_path"],
+)
+def test_nan_is_rejected_with_its_value(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -1,9 +1,10 @@
 """The package's public names, whichever moonbell module loads first.
 
-`moonbell.simulate` and `moonbell.linkbudget` load on first access, and the
-import system binds a newly loaded submodule onto its package. So each case
-runs in a fresh interpreter and checks that every exported name, `simulate`
-above all, is still the object its defining module holds.
+`moonbell.document`, `moonbell.scales`, `moonbell.simulate` and
+`moonbell.linkbudget` load on first access, and the import system binds a
+newly loaded submodule onto its package. So each case runs in a fresh
+interpreter and checks that every exported name, `simulate` above all, is
+still the object its defining module holds.
 """
 
 import json
@@ -19,21 +20,23 @@ _EXPORTS = {
         "quantum_correlation",
     ],
     "bounds": [
-        "EARTH_MOON_WINDOW", "MOND_SCALE_M", "AprioriCandidate", "ArmTiming",
-        "ObservationWindow", "SpeedBound", "apriori_scales", "cadence_threshold",
-        "classify_scale", "critical_speed", "gain_factor", "kappa", "mond_candidate",
-        "proper_time_correction", "scenario_timing", "speed_bound",
+        "ArmTiming", "SpeedBound", "cadence_threshold", "critical_speed", "gain_factor",
+        "kappa", "proper_time_correction", "scenario_timing", "speed_bound",
     ],
     "claims": ["PUBLISHED_CADENCE_THRESHOLD_HZ", "Claim", "all_claims", "claims_as_dicts"],
     "constants": ["CONSTANTS", "DEFAULT_TAU_S", "PhysicalConstants"],
+    "document": ["load_scenario", "load_scenario_file", "scenario_to_dict", "scenario_to_json"],
     "linkbudget": [
         "LinkSpec", "budget_report", "coincidence_rate", "geometric_loss_db",
         "pairs_for_significance",
     ],
+    "scales": [
+        "EARTH_MOON_WINDOW", "MOND_SCALE_M", "AprioriCandidate", "ObservationWindow",
+        "apriori_scales", "classify_scale", "mond_candidate",
+    ],
     "scenario": [
         "LOCAL_ARM_M", "PRESET_NAMES", "Arm", "Scenario", "ScenarioError", "Site",
-        "UnknownPresetError", "detector_separation", "light_time", "load_scenario",
-        "load_scenario_file", "preset", "scenario_to_dict", "scenario_to_json",
+        "UnknownPresetError", "detector_separation", "light_time", "preset",
         "symmetric_scenario", "with_equalized_starts",
     ],
     "simulate": [
@@ -80,6 +83,8 @@ def test_all_is_pinned():
         "import moonbell.simulate",
         "from moonbell.simulate import derive_seed",
         "import moonbell.linkbudget",
+        "import moonbell.scales",
+        "from moonbell.cli import load_scenario_file",
         "from moonbell import simulate",
         "from moonbell import cli; assert cli.main(['simulate', 'gisin1999', '-n', '10']) == 0",
         "from moonbell.cli import critical_speed",

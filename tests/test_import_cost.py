@@ -55,11 +55,10 @@ import moonbell.cli as cli
 def loaded(names):
     return [m for m in names if m in sys.modules]
 
-for argv, absent in ast.literal_eval(sys.argv[1]):
+for argv, absent, present in ast.literal_eval(sys.argv[1]):
     assert cli.main(argv) == 0, argv
     assert not loaded(absent), (argv, loaded(absent))
-assert cli.main(["simulate", "gisin1999", "-n", "1000"]) == 0
-assert loaded(["moonbell.simulate", "numpy", "dataclasses"]) == ["moonbell.simulate"], "simulate"
+    assert loaded(present) == present, (argv, present)
 """
 
 
@@ -67,20 +66,27 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(scenario_to_json(preset("cao2017")))
     # Only a scenario file is parsed as JSON, and report strings go through
-    # _json's C encoder, so no command but validate FILE loads json.
+    # _json's C encoder, so no command but validate FILE loads json. Only
+    # reading a scenario file loads moonbell.document, and only the survey
+    # loads moonbell.scales.
     neither = ["moonbell.simulate", "moonbell.philox", "moonbell.linkbudget", "numpy", "dataclasses"]
+    unread = ["moonbell.document", "moonbell.scales", "json"]
+    sampler = ["moonbell.simulate", "moonbell.philox"]
     steps = [
-        (["bound", "gisin1999"], [*neither, "json"]),
-        (["presets"], [*neither, "json"]),
-        (["scales"], [*neither, "json"]),
+        (["bound", "gisin1999"], [*neither, *unread], []),
+        (["presets"], [*neither, *unread], []),
         (["linkbudget", "--length-a", "384400km", "--length-b", "500km",
-          "--ref-loss-db", "30", "--pair-rate", "1e9"], ["moonbell.simulate", "moonbell.philox", "numpy", "dataclasses", "json"]),
-        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], ["numpy", "dataclasses", "json"]),
+          "--ref-loss-db", "30", "--pair-rate", "1e9"],
+         [*sampler, "numpy", "dataclasses", *unread], ["moonbell.linkbudget"]),
+        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], ["numpy", "dataclasses", *unread], sampler),
         (["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "1000",
-          "--out", str(tmp_path / "sweep.csv")], ["numpy", "dataclasses", "json"]),
+          "--out", str(tmp_path / "sweep.csv")], ["numpy", "dataclasses", *unread], sampler),
     ]
-    # validate loads json, which the other steps refuse, so it runs in a process of its own.
-    for group in (steps, [(["validate", str(scenario)], neither)]):
+    # scales and validate each load a module that the steps above refuse, so
+    # each runs in a process of its own.
+    scales = [(["scales"], [*neither, "moonbell.document", "json"], ["moonbell.scales"])]
+    validate = [(["validate", str(scenario)], [*neither, "moonbell.scales"], ["moonbell.document"])]
+    for group in (steps, scales, validate):
         proc = subprocess.run(
             [sys.executable, "-c", _MODULES_SCRIPT, repr(group)],
             capture_output=True,
@@ -95,7 +101,8 @@ from moonbell import critical_speed, preset, scenario_timing
 
 v_star = critical_speed(preset("earth_moon_case3"))
 assert 0.0 < v_star < float("inf"), v_star
-loaded = [m for m in ("moonbell.simulate", "moonbell.philox", "numpy", "dataclasses") if m in sys.modules]
+refused = ("moonbell.simulate", "moonbell.philox", "moonbell.document", "moonbell.scales", "numpy", "dataclasses")
+loaded = [m for m in refused if m in sys.modules]
 assert not loaded, loaded
 """
 

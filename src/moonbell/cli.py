@@ -581,6 +581,8 @@ def main(argv: list[str] | None = None) -> int:
         inputs, results = args.func(args)
         report = make_report(args.command, inputs, results, getattr(args, "seed", None))
         sys.stdout.write(render_report(report, args.format))
+        # A closed pipe fails here, not in the interpreter's exit-time flush.
+        sys.stdout.flush()
     except UnknownPresetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNKNOWN_REF
@@ -594,4 +596,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import run
+
+    sys.exit(run())

@@ -1,0 +1,103 @@
+"""The process entry, ``moonbell.__main__.run``: the console script and
+``python -m moonbell`` both call it, it freezes the heap on every way out of
+a process, and a reader that has gone gives exit 4, not an exit-time error.
+
+The freeze and pipe checks run moonbell in child processes, because
+freezing is only for a process that is about to end.
+"""
+
+import ast
+import contextlib
+import gc
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from moonbell.cli import main
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+# Runs moonbell as ``python -m moonbell`` does, with an atexit hook that
+# reports the freeze count after the entry has returned.
+_FREEZE_SCRIPT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"\\nfreeze_count={gc.get_freeze_count()}\\n"))
+sys.argv[0] = "moonbell"
+runpy.run_module("moonbell", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "gisin1999"], 0),
+        (["bound", "gisin1999", "--no-such-flag"], 2),
+        (["bound", "nosuch"], 3),
+        (["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "100",
+          "--out", "{missing}/sweep.csv"], 4),
+    ],
+    ids=["report", "usage", "unknown-preset", "unwritable-out"],
+)
+def test_the_process_freezes_its_heap_on_every_way_out(argv, code, tmp_path):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_SCRIPT, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code, proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("freeze_count="), proc.stderr
+    assert int(last.partition("=")[2]) > 0
+
+
+def test_an_in_process_call_does_not_freeze():
+    before = gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["presets"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_and_python_m_share_one_entry():
+    from moonbell import __main__ as entry
+
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["moonbell"].partition(":")
+    # ``python -m moonbell`` runs the package's __main__ module as "__main__".
+    assert module == "moonbell.__main__"
+    assert getattr(entry, attr) is entry.run
+    tree = ast.parse(pathlib.Path(entry.__file__).read_text())
+    guard = tree.body[-1]
+    assert isinstance(guard, ast.If)
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(stmt) for stmt in guard.body] == [f"sys.exit({attr}())"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["bound", "gisin1999"], 4, "error: [Errno 32] Broken pipe\n"),
+        (["presets", "--format", "text"], 4, "error: [Errno 32] Broken pipe\n"),
+        (["simulate", "gisin1999", "-n", "1000", "--trace", "1000"], 4, "error: [Errno 32] Broken pipe\n"),
+        (["--version"], 0, ""),
+        (["--help"], 0, ""),
+    ],
+    ids=["bound", "presets-text", "simulate-trace", "version", "help"],
+)
+def test_a_closed_pipe_exits_cleanly(argv, code, stderr):
+    # A block-buffered stdout, the default for a pipe: an unbuffered one
+    # fails inside the write and never reaches the exit-time flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moonbell", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, stderr)

@@ -13,6 +13,11 @@ the side that goes first alternates from seed to seed. Each side's runs are
 summarised per metric as median and quartiles, with the number of pairs in
 which the change did better. ``--out`` is merged by workload and trace mode,
 so several invocations can fill one file.
+
+``environment.bytecode`` records whether the children could read cached
+bytecode: the ``PYTHONDONTWRITEBYTECODE`` value that ``bench/run.py`` and its
+children inherit (null when unset), and whether each unpacked tree had a
+``src/moonbell/__pycache__`` once its runs were done.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -111,6 +117,10 @@ def main() -> int:
                 print(f"seed {seed} {side}: " + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
                       file=sys.stderr)
         digests = {side: src_digest(tree) for side, tree in trees.items()}
+        bytecode = {
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache": {side: (tree / "src" / "moonbell" / "__pycache__").is_dir() for side, tree in trees.items()},
+        }
 
     table = {}
     for metric in metrics:
@@ -134,7 +144,7 @@ def main() -> int:
     }
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     environment = {key: environment[key] for key in ("nproc", "cpu", "python", "numpy")}
-    doc["environment"] = {**environment, "platform": platform.platform()}
+    doc["environment"] = {**environment, "platform": platform.platform(), "bytecode": bytecode}
     doc["parent"] = {"commit": git("rev-parse", args.parent), "src_sha256": digests["parent"]}
     dirty = bool(git("status", "--porcelain", "--", "src"))
     doc["change"] = {

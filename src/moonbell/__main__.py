@@ -10,6 +10,10 @@ from .cli import main
 
 def run() -> int:
     """Run :func:`moonbell.cli.main` as a whole process: its exit code."""
+    if sys.stderr is None:
+        # Started with fd 2 closed. An error keeps its exit code and prints
+        # nothing; argparse would otherwise print its usage line to stdout.
+        sys.stderr = open(os.devnull, "w")
     try:
         return main()
     finally:

@@ -8,10 +8,10 @@ failure, 3 unknown preset/reference, 4 I/O failure.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 # CPython's C string encoder, which json.encoder itself uses; importing the
@@ -33,6 +33,8 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .document import load_scenario_file
     from .linkbudget import LinkSpec, budget_report
     from .scales import EARTH_MOON_WINDOW, ObservationWindow, apriori_scales, mond_candidate
@@ -444,7 +446,7 @@ def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("ObservationWindow", "apriori_scales", "mond_candidate")
+    _bind("EARTH_MOON_WINDOW", "ObservationWindow", "apriori_scales", "mond_candidate")
     if args.n_values is not None:
         parts = [p.strip() for p in args.n_values.split(",") if p.strip()]
         if not parts:
@@ -455,7 +457,10 @@ def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
             raise ValueError(f"--n-values: {args.n_values!r} is not a comma-separated list of integers") from None
     else:
         n_values = [-1, 0, 1]
-    window = ObservationWindow(args.d_min, args.d_max)
+    window = ObservationWindow(
+        EARTH_MOON_WINDOW.d_min_m if args.d_min is None else args.d_min,
+        EARTH_MOON_WINDOW.d_max_m if args.d_max is None else args.d_max,
+    )
     rows = apriori_scales(n_values, mass_kg=args.mass, window=window)
     rows.append(mond_candidate(window))
     inputs = {
@@ -478,13 +483,84 @@ def cmd_presets(args: argparse.Namespace) -> tuple[dict, dict]:
     return {}, {"presets": [_scenario_summary(preset(name)) for name in PRESET_NAMES]}
 
 
-# The subcommands, in the order the full parser lists them.
-_COMMANDS = ("bound", "simulate", "sweep", "linkbudget", "scales", "validate", "presets")
+# The options every command takes, then those of simulate and sweep.
+_FORMAT = (("--format",), {"choices": ("json", "csv", "text"), "default": "json"})
+_RUN_OPTIONS = (
+    (("--fallback",), {"choices": FALLBACKS, "default": "uncorrelated"}),
+    (("--settings",), {"default": None,
+                       "help": "four analyzer angles a,a',b,b' (radians; 'deg' suffix accepted)"}),
+    (("--seed",), {"type": int, "default": 0}),
+    (("--workers",), {"type": int, "default": 1,
+                      "help": "accepted for compatibility (must be >= 1); changes nothing"}),
+    (("--equalize-starts",), {"action": "store_true",
+                              "help": "delay the earlier measurement to the later photon arrival"}),
+    (("--depart-at-end",), {"action": "store_true",
+                            "help": "influence departs at measurement completion instead of start"}),
+)
+
+# The option table: each command's handler, its help text and its arguments
+# as argparse's (flags, kwargs), in the order the full parser lists them.
+# build_parser feeds it to argparse, and parse_well_formed reads it directly.
+COMMANDS: dict[str, tuple[Any, str, tuple[tuple[tuple[str, ...], dict], ...]]] = {
+    "bound": (cmd_bound, "Correlation-speed lower bound for a scenario.", (
+        _FORMAT,
+        (("scenario",), {"help": "preset name or scenario file path"}),
+        (("--tau",), {"default": None, "help": "measurement duration override, e.g. 10ps"}),
+    )),
+    "simulate": (cmd_simulate, "Monte Carlo run at one speed.", (
+        _FORMAT,
+        *_RUN_OPTIONS,
+        (("scenario",), {}),
+        (("--v-over-c",), {"default": "inf", "help": "influence speed in units of c, or 'inf'"}),
+        (("-n", "--pairs"), {"type": int, "default": 100_000}),
+        (("--trace",), {"type": int, "default": 0, "help": "include the first N pair records"}),
+    )),
+    "sweep": (cmd_sweep, "S versus assumed speed, CSV output.", (
+        _FORMAT,
+        *_RUN_OPTIONS,
+        (("scenario",), {}),
+        (("--v-min",), {"type": float, "required": True}),
+        (("--v-max",), {"type": float, "required": True}),
+        (("--points",), {"type": int, "default": 20}),
+        (("--spacing",), {"choices": ("log", "linear"), "default": "log"}),
+        (("-n", "--pairs"), {"type": int, "default": 10_000, "help": "pairs per grid point"}),
+        (("--out",), {"required": True, "help": "CSV output path"}),
+    )),
+    "linkbudget": (cmd_linkbudget, "Loss, rate and integration-time budget.", (
+        _FORMAT,
+        (("--length-a",), {"required": True, "help": "arm A length, e.g. 384400km"}),
+        (("--length-b",), {"required": True}),
+        (("--ref-length",), {"default": "500km", "help": "reference link length"}),
+        (("--ref-loss-db",), {"type": float, "default": 0.0, "help": "total loss at the reference length"}),
+        (("--eff-a",), {"type": float, "default": 1.0}),
+        (("--eff-b",), {"type": float, "default": 1.0}),
+        (("--pair-rate",), {"type": float, "required": True, "help": "source pair rate, pairs/s"}),
+        (("--s-expected",), {"type": float, "default": TSIRELSON_BOUND}),
+        (("--k-sigma",), {"type": float, "default": 3.0}),
+    )),
+    "scales": (cmd_scales, "A-priori speed/distance scale survey.", (
+        _FORMAT,
+        (("--n-values",), {"default": None, "help": "comma-separated exponents (default -1,0,1); a list that "
+                           "starts with a negative one needs the = form, --n-values=-1,0,1"}),
+        (("--mass",), {"type": float, "default": CONSTANTS.m_proton, "help": "coupling mass, kg"}),
+        # None stands for the Earth-Moon window's bound, which cmd_scales reads
+        # so that no other command loads moonbell.scales.
+        (("--d-min",), {"type": float, "default": None, "help": "observable window floor, m"}),
+        (("--d-max",), {"type": float, "default": None, "help": "observable window ceiling, m"}),
+    )),
+    "validate": (cmd_validate, "Check a scenario file against the schema.", (
+        _FORMAT,
+        (("file",), {}),
+    )),
+    "presets": (cmd_presets, "List built-in scenarios.", (_FORMAT,)),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; given one of its subcommands, only that subcommand's
     parser is built, and every usage line it prints stays the full parser's."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="moonbell",
         description="Bell tests at astronomical distances: speed bounds, "
@@ -493,94 +569,98 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moonbell {__version__}")
     # The full parser names the action "command" in its missing-command error,
     # which a parser built for one named command never prints.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    wanted = _COMMANDS if command is None else (command,)
-
-    def add(name: str, func: Any, help_text: str, run_options: bool = False) -> argparse.ArgumentParser:
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        if run_options:
-            p.add_argument("--fallback", choices=FALLBACKS, default="uncorrelated")
-            p.add_argument("--settings", default=None,
-                           help="four analyzer angles a,a',b,b' (radians; 'deg' suffix accepted)")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--workers", type=int, default=1,
-                           help="accepted for compatibility (must be >= 1); changes nothing")
-            p.add_argument("--equalize-starts", action="store_true",
-                           help="delay the earlier measurement to the later photon arrival")
-            p.add_argument("--depart-at-end", action="store_true",
-                           help="influence departs at measurement completion instead of start")
-        return p
-
-    if "bound" in wanted:
-        p = add("bound", cmd_bound, "Correlation-speed lower bound for a scenario.")
-        p.add_argument("scenario", help="preset name or scenario file path")
-        p.add_argument("--tau", default=None, help="measurement duration override, e.g. 10ps")
-
-    if "simulate" in wanted:
-        p = add("simulate", cmd_simulate, "Monte Carlo run at one speed.", run_options=True)
-        p.add_argument("scenario")
-        p.add_argument("--v-over-c", default="inf", help="influence speed in units of c, or 'inf'")
-        p.add_argument("-n", "--pairs", type=int, default=100_000)
-        p.add_argument("--trace", type=int, default=0, help="include the first N pair records")
-
-    if "sweep" in wanted:
-        p = add("sweep", cmd_sweep, "S versus assumed speed, CSV output.", run_options=True)
-        p.add_argument("scenario")
-        p.add_argument("--v-min", type=float, required=True)
-        p.add_argument("--v-max", type=float, required=True)
-        p.add_argument("--points", type=int, default=20)
-        p.add_argument("--spacing", choices=("log", "linear"), default="log")
-        p.add_argument("-n", "--pairs", type=int, default=10_000, help="pairs per grid point")
-        p.add_argument("--out", required=True, help="CSV output path")
-
-    if "linkbudget" in wanted:
-        p = add("linkbudget", cmd_linkbudget, "Loss, rate and integration-time budget.")
-        p.add_argument("--length-a", required=True, help="arm A length, e.g. 384400km")
-        p.add_argument("--length-b", required=True)
-        p.add_argument("--ref-length", default="500km", help="reference link length")
-        p.add_argument("--ref-loss-db", type=float, default=0.0, help="total loss at the reference length")
-        p.add_argument("--eff-a", type=float, default=1.0)
-        p.add_argument("--eff-b", type=float, default=1.0)
-        p.add_argument("--pair-rate", type=float, required=True, help="source pair rate, pairs/s")
-        p.add_argument("--s-expected", type=float, default=TSIRELSON_BOUND)
-        p.add_argument("--k-sigma", type=float, default=3.0)
-
-    if "scales" in wanted:
-        _bind("EARTH_MOON_WINDOW")
-        p = add("scales", cmd_scales, "A-priori speed/distance scale survey.")
-        p.add_argument("--n-values", default=None,
-                       help="comma-separated exponents (default -1,0,1); a list that starts "
-                       "with a negative one needs the = form, --n-values=-1,0,1")
-        p.add_argument("--mass", type=float, default=CONSTANTS.m_proton, help="coupling mass, kg")
-        p.add_argument("--d-min", type=float, default=EARTH_MOON_WINDOW.d_min_m,
-                       help="observable window floor, m")
-        p.add_argument("--d-max", type=float, default=EARTH_MOON_WINDOW.d_max_m,
-                       help="observable window ceiling, m")
-
-    if "validate" in wanted:
-        p = add("validate", cmd_validate, "Check a scenario file against the schema.")
-        p.add_argument("file")
-
-    if "presets" in wanted:
-        add("presets", cmd_presets, "List built-in scenarios.")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
+
+
+def parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read from the option table, or None unless it is well formed.
+
+    Well formed is a command name, then exact option strings of that command,
+    each as ``--opt value`` (a value that does not start with "-") or
+    ``--opt=value``, bare store_true flags and the positionals in order, each
+    value converted by its type and within its choices, and every required
+    argument given. The namespace then equals the one argparse returns; any
+    other argv, ``--help`` and ``--version`` among them, is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    values: dict[str, Any] = {"command": argv[0], "func": func}
+    options: dict[str, tuple[str, dict]] = {}
+    positionals: list[tuple[str, dict]] = []
+    required = set()
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], kwargs))
+            required.add(flags[0])
+            continue
+        # argparse's dest: the first long option string, dashes made underscores.
+        dest = next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
+        options.update((flag, (dest, kwargs)) for flag in flags)
+        values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        if kwargs.get("required"):
+            required.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, equals, value = token.partition("=") if token.startswith("--") else (token, "", "")
+            if flag not in options:
+                return None
+            dest, kwargs = options[flag]
+            if kwargs.get("action") == "store_true":
+                if equals:
+                    return None
+                values[dest] = True
+                continue
+            if not equals:
+                value = next(tokens, None)
+                # argparse reads a value that starts with "-" as an option.
+                if value is None or value.startswith("-"):
+                    return None
+            elif value == "--":  # which argparse drops
+                return None
+        elif positionals:
+            dest, kwargs = positionals.pop(0)
+            value = token
+        else:
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+        required.discard(dest)
+    return None if required else SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: each ``cmd_*`` returns its echoed inputs and its
-    results, and only this function builds, renders and writes the report."""
+    results, and only this function builds, renders and writes the report.
+
+    Well-formed argv is read from the option table; only help, ``--version``
+    and usage errors build an argparse parser, which then prints and exits."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = parse_well_formed(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         inputs, results = args.func(args)
         report = make_report(args.command, inputs, results, getattr(args, "seed", None))
-        sys.stdout.write(render_report(report, args.format))
+        text = render_report(report, args.format)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
         # A closed pipe fails here, not in the interpreter's exit-time flush.
         sys.stdout.flush()
     except UnknownPresetError as exc:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import pathlib
 import subprocess
@@ -9,9 +10,10 @@ import textwrap
 
 import jsonschema
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from moonbell import claims_as_dicts, preset, scenario_to_json
-from moonbell.cli import build_parser, main
+from moonbell.cli import COMMANDS, build_parser, main, parse_well_formed
 from moonbell.bounds import scenario_timing
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -835,6 +837,133 @@ def test_one_command_parser_holds_only_that_command(command):
     assert list(subparsers.choices) == [command]
     (full,) = build_parser()._subparsers._group_actions
     assert list(full.choices) == list(_COMMANDS)
+
+
+_FULL_PARSER = build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of the full parser's namespace for ``argv``; None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_FULL_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Values that argparse reads in different ways: negative-looking, empty, a
+# "--", outside a choice list, or not a number.
+_VALUES = st.one_of(
+    st.sampled_from(["-1", "inf", "x", "yaml", "", "--", "json", "csv", "log", "linear", "lhv", "3",
+                     "1e6", "1e8", "10ps", "gisin1999", "-1,0,1"]),
+    st.text("0123456789.e-x=", max_size=3),
+)
+# A value of each type that the type accepts.
+_GOOD = {int: "3", float: "1e6", None: "x"}
+
+
+@st.composite
+def _argv(draw, command):
+    """argv of ``command`` from its declared option strings, their prefixes,
+    ``=`` forms, repeats, ``-n5``, ``--``, help and version flags, and the
+    arguments it requires, in any order."""
+    arguments = COMMANDS[command][2]
+    flags = [flag for names, _ in arguments for flag in names if flag.startswith("-")]
+    flags += ["-h", "--help", "--version"]
+    prefixes = sorted({flag[:k] for flag in flags for k in range(1, len(flag))})
+    chunk = st.one_of(
+        st.tuples(st.sampled_from(flags + prefixes + ["-n5"])),
+        st.tuples(st.sampled_from(flags), _VALUES),
+        st.builds(lambda flag, value: (f"{flag}={value}",), st.sampled_from(flags), _VALUES),
+        st.tuples(_VALUES),
+    )
+    needed = [
+        (names[-1], _GOOD[kwargs.get("type")]) if names[0].startswith("-") else ("gisin1999",)
+        for names, kwargs in arguments
+        if kwargs.get("required") or not names[0].startswith("-")
+    ]
+    chunks = draw(st.lists(chunk, max_size=6)) + (needed if draw(st.booleans()) else [])
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(chunks)))]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@hyp_settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_plain_parse_returns_argparses_namespace_or_none(command, data):
+    argv = data.draw(_argv(command))
+    plain = parse_well_formed(argv)
+    expected = _argparse_vars(argv)
+    if expected is None:
+        assert plain is None
+    elif plain is not None:
+        assert vars(plain) == expected
+
+
+_SWEEP_ARGV = [*_SWEEP, "--out", "x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "gisin1999", "--format=csv", "--tau", "10ps"],
+        ["bound", "--tau=5ps", "gisin1999", "--tau", "1ns"],
+        ["simulate", "earth_moon_case3", "--fallback", "lhv", "--equalize-starts", "-n", "10000000",
+         "--v-over-c", "1e6", "--seed", "7", "--trace", "1000", "--workers", "2"],
+        [*_SWEEP_ARGV, "--fallback", "uncorrelated", "--depart-at-end", "--workers", "2", "--seed", "1"],
+        ["linkbudget", "--length-a", "384400km", "--length-b", "500km", "--ref-length", "1e5m",
+         "--ref-loss-db", "30.0", "--eff-a", "0.5", "--eff-b", "0.9", "--pair-rate", "1e9",
+         "--k-sigma", "5.0", "--format", "text"],
+        ["scales", "--format", "csv", "--n-values=-3,1"],
+        ["validate", "scenario.json", "--format", "json"],
+        ["presets", "--format", "text"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_well_formed_argv_takes_the_plain_path(argv):
+    plain = parse_well_formed(argv)
+    assert plain is not None
+    assert vars(plain) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "gisin1999", "-h"],
+        ["--version"],
+        ["bound", "gisin1999", "--version"],
+        [*_SWEEP_ARGV, "--v-m", "1"],
+        [*_SWEEP_ARGV, "-n5"],
+        [*_SWEEP_ARGV, "--v-min", "-1"],
+        list(_SWEEP),
+        ["bound", "gisin1999", "--", "--tau"],
+        ["bound", "gisin1999", "--tau=--"],
+        ["bound", "gisin1999", "--format", "yaml"],
+        ["simulate", "gisin1999", "--seed", "x"],
+        ["simulate", "gisin1999", "--equalize-starts=1"],
+        ["presets", "extra"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argv",
+)
+def test_other_argv_falls_back_to_argparse(argv):
+    assert parse_well_formed(argv) is None
+
+
+def test_every_benchmark_argv_takes_the_plain_path(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import workloads
+
+    sizes = workloads.Sizes(cli_requests=50, sim_requests=4)
+    argvs = []
+    for name in workloads.WORKLOADS:
+        load = workloads.generate(name, 7, tmp_path, sizes, nproc=2)
+        argvs += [step.argv for request in load.requests for step in request.steps]
+        argvs += [argv for argv, _ in load.warmups] + [load.repeat[1]]
+    argvs += [step.argv for request in workloads.probe(tmp_path, 2) for step in request.steps]
+    for argv in map(list, argvs):
+        plain = parse_well_formed(argv)
+        assert plain is not None, argv
+        assert vars(plain) == _argparse_vars(argv), argv
 
 
 def test_sweep_pair_count_error_keeps_its_message(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Each command loads only the modules it runs, and no command loads numpy
 or dataclasses: sampling runs on moonbell.philox, a port of numpy's stream.
+Well-formed argv loads no argparse either; only help, --version and usage
+errors do.
 
 Runs in a fresh interpreter, because the pytest process has numpy loaded
 already.
@@ -68,8 +70,10 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     # Only a scenario file is parsed as JSON, and report strings go through
     # _json's C encoder, so no command but validate FILE loads json. Only
     # reading a scenario file loads moonbell.document, and only the survey
-    # loads moonbell.scales.
-    neither = ["moonbell.simulate", "moonbell.philox", "moonbell.linkbudget", "numpy", "dataclasses"]
+    # loads moonbell.scales. Well-formed argv is read without argparse, so no
+    # command loads it, nor the gettext it translates its messages with.
+    never = ["numpy", "dataclasses", "argparse", "gettext"]
+    neither = ["moonbell.simulate", "moonbell.philox", "moonbell.linkbudget", *never]
     unread = ["moonbell.document", "moonbell.scales", "json"]
     sampler = ["moonbell.simulate", "moonbell.philox"]
     steps = [
@@ -77,10 +81,10 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         (["presets"], [*neither, *unread], []),
         (["linkbudget", "--length-a", "384400km", "--length-b", "500km",
           "--ref-loss-db", "30", "--pair-rate", "1e9"],
-         [*sampler, "numpy", "dataclasses", *unread], ["moonbell.linkbudget"]),
-        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], ["numpy", "dataclasses", *unread], sampler),
+         [*sampler, *never, *unread], ["moonbell.linkbudget"]),
+        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], [*never, *unread], sampler),
         (["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "1000",
-          "--out", str(tmp_path / "sweep.csv")], ["numpy", "dataclasses", *unread], sampler),
+          "--out", str(tmp_path / "sweep.csv")], [*never, *unread], sampler),
     ]
     # scales and validate each load a module that the steps above refuse, so
     # each runs in a process of its own.
@@ -93,6 +97,24 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+_HELP_SCRIPT = """
+import sys
+import moonbell.cli as cli
+
+try:
+    cli.main(["bound", "--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "argparse" in sys.modules
+"""
+
+
+def test_help_still_loads_argparse():
+    proc = subprocess.run([sys.executable, "-c", _HELP_SCRIPT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: moonbell bound")
 
 
 _EVENT_MODEL_SCRIPT = """

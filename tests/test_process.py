@@ -101,3 +101,32 @@ def test_a_closed_pipe_exits_cleanly(argv, code, stderr):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
+def _closed(fd, argv):
+    """A ``python -m moonbell`` process started with file descriptor ``fd`` closed."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m moonbell "$@" {fd}>&-', sys.executable, *argv],
+        capture_output=True, text=True,
+    )
+
+
+def test_a_closed_stdout_exits_4_with_one_error_line():
+    proc = _closed(1, ["bound", "gisin1999"])
+    assert (proc.returncode, proc.stderr) == (4, "error: stdout is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "gisin1999", "--tau", "x"], 2),
+        (["bound", "gisin1999", "--no-such-flag"], 2),
+        (["bound", "nosuch"], 3),
+        (["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "100",
+          "--out", "/nonexistent/sweep.csv"], 4),
+    ],
+    ids=["validation", "usage", "unknown-preset", "unwritable-out"],
+)
+def test_a_closed_stderr_keeps_the_exit_code_and_prints_nothing(argv, code):
+    proc = _closed(2, argv)
+    assert (proc.returncode, proc.stdout) == (code, "")

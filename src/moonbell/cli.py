@@ -20,33 +20,20 @@ from typing import TYPE_CHECKING, Any
 from _json import encode_basestring_ascii
 
 from . import __version__
-from .bell import DEFAULT_SETTINGS, FALLBACKS, TSIRELSON_BOUND, ChshSettings
-from .bounds import critical_speed, gain_factor, scenario_timing, speed_bound
+from .bell import FALLBACKS, TSIRELSON_BOUND
+from .bounds import critical_speed, gain_factor, speed_bound  # bench/tracing.py rebinds critical_speed
 from .claims import claims_as_dicts
 from .constants import CONSTANTS
-from .scenario import (
-    PRESET_NAMES,
-    Scenario,
-    UnknownPresetError,
-    detector_separation,
-    preset,
-    with_equalized_starts,
-)
+from .scenario import PRESET_NAMES, Scenario, UnknownPresetError, detector_separation, preset
 
 if TYPE_CHECKING:
     import argparse
 
     from .document import load_scenario_file
-    from .linkbudget import LinkSpec, budget_report
-    from .scales import EARTH_MOON_WINDOW, ObservationWindow, apriori_scales, mond_candidate
-    from .simulate import CollapseModel, simulate, sweep_speed
 
 
-# Each of the package's lazy names is bound from the package on first use, so
-# that a command loads moonbell.document only to read a scenario file,
-# moonbell.scales only for the scale survey, and moonbell.simulate or
-# moonbell.linkbudget only to sample or plan a link. Each command looks them up
-# here when it runs, so a caller may rebind them (bench/tracing.py does).
+# The package's lazy names are bound from it on first use, and looked up when a
+# handler here runs, so a caller may rebind them (bench/tracing.py does).
 def __getattr__(name: str) -> Any:
     if name not in sys.modules[__package__]._LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -66,11 +53,8 @@ EXIT_VALIDATION = 2
 EXIT_UNKNOWN_REF = 3
 EXIT_IO = 4
 
-# Unit suffixes are tried in order, so "s" comes after "fs" and "m" after "km".
+# Unit suffixes are tried in order, so "s" comes after "fs".
 _DURATION_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-_LENGTH_UNITS = {"km": 1e3, "m": 1.0}
-# math.radians multiplies by this same double.
-_ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
 
 
 def _quantity(text: str, units: dict[str, float], flag: str) -> float:
@@ -94,32 +78,6 @@ def _quantity(text: str, units: dict[str, float], flag: str) -> float:
 def parse_duration(text: str, flag: str) -> float:
     """'10ps', '5 ns', '1.5s' or a bare number of seconds."""
     return _quantity(text, _DURATION_UNITS, flag)
-
-
-def parse_length(text: str, flag: str) -> float:
-    """'700km', '5300m' or a bare number of metres."""
-    return _quantity(text, _LENGTH_UNITS, flag)
-
-
-def parse_angle(text: str, flag: str) -> float:
-    """Radians by default; degrees only with an explicit 'deg' suffix."""
-    return _quantity(text, _ANGLE_UNITS, flag)
-
-
-def parse_speed(text: str, flag: str) -> float:
-    """A multiple of c; 'inf' or 'infinity' for an instantaneous influence."""
-    return _quantity(text, {}, flag)
-
-
-def parse_settings(text: str) -> ChshSettings:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 4:
-        raise ValueError(f"--settings needs four comma-separated angles: a,a',b,b', in {text!r}")
-    try:
-        a, a_prime, b, b_prime = (parse_angle(p, "--settings") for p in parts)
-        return ChshSettings(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
-    except ValueError as exc:
-        raise ValueError(f"{exc}, in {text!r}") from None
 
 
 def resolve_scenario(ref: str) -> Scenario:
@@ -278,187 +236,6 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict, dict]:
     return inputs, {**bound._asdict(), **gains}
 
 
-def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict]:
-    """Scenario and settings of a simulate/sweep run, plus the inputs both echo."""
-    scenario = resolve_scenario(args.scenario)
-    if args.equalize_starts:
-        scenario = with_equalized_starts(scenario)
-    settings = DEFAULT_SETTINGS if args.settings is None else parse_settings(args.settings)
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    inputs = {
-        "scenario": _scenario_summary(scenario),
-        "fallback": args.fallback,
-        "depart_at_end": args.depart_at_end,
-        "equalize_starts": args.equalize_starts,
-        "settings": settings,
-        "workers": args.workers,
-    }
-    return scenario, settings, inputs
-
-
-def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("CollapseModel", "simulate")
-    scenario, settings, inputs = _resolve_run(args)
-    model = CollapseModel(
-        v_over_c=parse_speed(args.v_over_c, "--v-over-c"),
-        fallback=args.fallback,
-        depart_at_end=args.depart_at_end,
-    )
-    result = simulate(
-        scenario,
-        model,
-        settings,
-        n_pairs=args.pairs,
-        seed=args.seed,
-        workers=args.workers,
-        trace_limit=args.trace,
-    )
-    results = {
-        "s_hat": result.s_hat,
-        "stderr_s": result.stderr_s,
-        "e_hat": result.e_hat,
-        "counts": result.counts,
-        "connected": result.connected,
-        "fraction_connected": float(result.connected),
-        "critical_v_over_c": critical_speed(scenario, args.depart_at_end),
-    }
-    if result.records:
-        # Every traced pair shares the run's one timeline, printed once here.
-        results["timing"] = {"emission_fs": 0, "arms": [t._asdict() for t in scenario_timing(scenario)]}
-        # Each distinct record (one per cell) becomes one row, repeated by reference.
-        distinct = {id(r): r for r in result.records}
-        rows = {key: {"connected": result.connected, **r._asdict()} for key, r in distinct.items()}
-        results["trace"] = [rows[id(r)] for r in result.records]
-    inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
-    return inputs, results
-
-
-# Most speeds one sweep may take; each costs a run and a CSV row.
-MAX_POINTS = 100_000
-
-
-def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
-    if points < 1:
-        raise ValueError(f"--points must be >= 1, got {points}")
-    if points > MAX_POINTS:
-        raise ValueError(f"--points must be at most {MAX_POINTS}, got {points}")
-    if not v_min > 0.0:
-        raise ValueError(f"--v-min must be > 0, got {v_min!r}")
-    if points == 1:
-        return [v_min]
-    for flag, v in (("--v-min", v_min), ("--v-max", v_max)):
-        if not math.isfinite(v):
-            raise ValueError(f"{flag} must be finite")
-    if not v_max > v_min:
-        raise ValueError(f"--v-max must exceed --v-min {v_min!r}, got {v_max!r}")
-    if spacing == "log":
-        lo, hi = math.log10(v_min), math.log10(v_max)
-        grid = [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-    else:
-        grid = [v_min + (v_max - v_min) * i / (points - 1) for i in range(points)]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(
-            f"--points {points} is too many for --v-min {v_min!r} to --v-max {v_max!r}: "
-            f"the {spacing} grid repeats a speed"
-        )
-    return grid
-
-
-def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("sweep_speed")
-    scenario, settings, inputs = _resolve_run(args)
-    grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
-    points = sweep_speed(
-        scenario,
-        fallback=args.fallback,
-        settings=settings,
-        v_grid=grid,
-        n_pairs_per_point=args.pairs,
-        seed=args.seed,
-        depart_at_end=args.depart_at_end,
-    )
-    # Full-precision floats, so the file is byte-stable for fixed inputs.
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("v_over_c,S_hat,stderr_S,n_pairs,fraction_connected\n")
-        for p in points:
-            fh.write(f"{p.v_over_c!r},{p.s_hat!r},{p.stderr_s!r},{args.pairs},{float(p.connected)!r}\n")
-    # The verdict is monotone in v, so these are the last disconnected and
-    # the first connected grid speeds; None when the grid is one-sided.
-    below = max((p.v_over_c for p in points if not p.connected), default=None)
-    above = min((p.v_over_c for p in points if p.connected), default=None)
-    v_star = critical_speed(scenario, args.depart_at_end)
-    inputs.update(
-        v_min=args.v_min,
-        v_max=args.v_max,
-        points=args.points,
-        spacing=args.spacing,
-        n_pairs_per_point=args.pairs,
-        out=args.out,
-    )
-    return inputs, {
-        "csv_path": args.out,
-        "rows": len(points),
-        "critical_v_over_c": v_star,
-        "transition_bracket": {"below": below, "above": above},
-        "bracket_contains_critical": (below is None or below < v_star) and (above is None or v_star <= above),
-    }
-
-
-def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("LinkSpec", "budget_report")
-    ref_length = parse_length(args.ref_length, "--ref-length")
-    arms = []
-    for arm, length, eff in (("a", args.length_a, args.eff_a), ("b", args.length_b, args.eff_b)):
-        try:
-            arms.append(LinkSpec(parse_length(length, f"--length-{arm}"), ref_length, args.ref_loss_db, eff))
-        except ValueError as exc:
-            # A LinkSpec does not know its arm, so its errors name both arms' flags.
-            message = str(exc).replace("--length-a/--length-b", f"--length-{arm}")
-            raise ValueError(message.replace("--eff-a/--eff-b", f"--eff-{arm}")) from None
-    arm_a, arm_b = arms
-    inputs = {
-        "length_a_m": arm_a.length_m,
-        "length_b_m": arm_b.length_m,
-        "reference_length_m": ref_length,
-        "reference_loss_db": args.ref_loss_db,
-        "eff_a": args.eff_a,
-        "eff_b": args.eff_b,
-        "pair_rate_hz": args.pair_rate,
-        "s_expected": args.s_expected,
-        "k_sigma": args.k_sigma,
-    }
-    return inputs, budget_report(
-        arm_a, arm_b, pair_rate_hz=args.pair_rate, s_expected=args.s_expected, k_sigma=args.k_sigma
-    )
-
-
-def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
-    _bind("EARTH_MOON_WINDOW", "ObservationWindow", "apriori_scales", "mond_candidate")
-    if args.n_values is not None:
-        parts = [p.strip() for p in args.n_values.split(",") if p.strip()]
-        if not parts:
-            raise ValueError("--n-values must list at least one integer exponent")
-        try:
-            n_values = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"--n-values: {args.n_values!r} is not a comma-separated list of integers") from None
-    else:
-        n_values = [-1, 0, 1]
-    window = ObservationWindow(
-        EARTH_MOON_WINDOW.d_min_m if args.d_min is None else args.d_min,
-        EARTH_MOON_WINDOW.d_max_m if args.d_max is None else args.d_max,
-    )
-    rows = apriori_scales(n_values, mass_kg=args.mass, window=window)
-    rows.append(mond_candidate(window))
-    inputs = {
-        "n_values": n_values,
-        "mass_kg": args.mass,
-        "window_m": {"d_min": window.d_min_m, "d_max": window.d_max_m},
-    }
-    return inputs, {"rows": [r._asdict() for r in rows]}
-
-
 def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict]:
     if not os.path.exists(args.file):
         raise UnknownPresetError(f"no such scenario file: {args.file}")
@@ -486,16 +263,17 @@ _RUN_OPTIONS = (
                             "help": "influence departs at measurement completion instead of start"}),
 )
 
-# The option table: each command's handler, its help text and its arguments
-# as argparse's (flags, kwargs), in the order the parser lists them.
+# The option table: each command's module, which defines its handler
+# cmd_<command> (so a process compiles only its own), its help text and its
+# arguments as argparse's (flags, kwargs), in the order the parser lists them.
 # build_parser feeds it to argparse, and parse_well_formed reads it directly.
-COMMANDS: dict[str, tuple[Any, str, tuple[tuple[tuple[str, ...], dict], ...]]] = {
-    "bound": (cmd_bound, "Correlation-speed lower bound for a scenario.", (
+COMMANDS: dict[str, tuple[str, str, tuple[tuple[tuple[str, ...], dict], ...]]] = {
+    "bound": ("cli", "Correlation-speed lower bound for a scenario.", (
         _FORMAT,
         (("scenario",), {"help": "preset name or scenario file path"}),
         (("--tau",), {"default": None, "help": "measurement duration override, e.g. 10ps"}),
     )),
-    "simulate": (cmd_simulate, "Monte Carlo run at one speed.", (
+    "simulate": ("simulate", "Monte Carlo run at one speed.", (
         _FORMAT,
         *_RUN_OPTIONS,
         (("scenario",), {}),
@@ -503,7 +281,7 @@ COMMANDS: dict[str, tuple[Any, str, tuple[tuple[tuple[str, ...], dict], ...]]] =
         (("-n", "--pairs"), {"type": int, "default": 100_000}),
         (("--trace",), {"type": int, "default": 0, "help": "include the first N pair records"}),
     )),
-    "sweep": (cmd_sweep, "S versus assumed speed, CSV output.", (
+    "sweep": ("simulate", "S versus assumed speed, CSV output.", (
         _FORMAT,
         *_RUN_OPTIONS,
         (("scenario",), {}),
@@ -514,7 +292,7 @@ COMMANDS: dict[str, tuple[Any, str, tuple[tuple[tuple[str, ...], dict], ...]]] =
         (("-n", "--pairs"), {"type": int, "default": 10_000, "help": "pairs per grid point"}),
         (("--out",), {"required": True, "help": "CSV output path"}),
     )),
-    "linkbudget": (cmd_linkbudget, "Loss, rate and integration-time budget.", (
+    "linkbudget": ("linkbudget", "Loss, rate and integration-time budget.", (
         _FORMAT,
         (("--length-a",), {"required": True, "help": "arm A length, e.g. 384400km"}),
         (("--length-b",), {"required": True}),
@@ -526,7 +304,7 @@ COMMANDS: dict[str, tuple[Any, str, tuple[tuple[tuple[str, ...], dict], ...]]] =
         (("--s-expected",), {"type": float, "default": TSIRELSON_BOUND}),
         (("--k-sigma",), {"type": float, "default": 3.0}),
     )),
-    "scales": (cmd_scales, "A-priori speed/distance scale survey.", (
+    "scales": ("scales", "A-priori speed/distance scale survey.", (
         _FORMAT,
         (("--n-values",), {"default": None, "help": "comma-separated exponents (default -1,0,1); a list that "
                            "starts with a negative one needs the = form, --n-values=-1,0,1"}),
@@ -536,11 +314,11 @@ COMMANDS: dict[str, tuple[Any, str, tuple[tuple[tuple[str, ...], dict], ...]]] =
         (("--d-min",), {"type": float, "default": None, "help": "observable window floor, m"}),
         (("--d-max",), {"type": float, "default": None, "help": "observable window ceiling, m"}),
     )),
-    "validate": (cmd_validate, "Check a scenario file against the schema.", (
+    "validate": ("cli", "Check a scenario file against the schema.", (
         _FORMAT,
         (("file",), {}),
     )),
-    "presets": (cmd_presets, "List built-in scenarios.", (_FORMAT,)),
+    "presets": ("cli", "List built-in scenarios.", (_FORMAT,)),
 }
 
 
@@ -562,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"moonbell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, arguments) in COMMANDS.items():
+    for name, (_, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         for flags, kwargs in arguments:
             if flags[0].startswith("-"):
                 kwargs = {"action": StoreOne, **kwargs}
@@ -584,8 +361,8 @@ def parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    func, _, arguments = COMMANDS[argv[0]]
-    values: dict[str, Any] = {"command": argv[0], "func": func}
+    arguments = COMMANDS[argv[0]][2]
+    values: dict[str, Any] = {"command": argv[0]}
     options: dict[str, tuple[str, dict]] = {}
     positionals: list[tuple[str, dict]] = []
     required = set()
@@ -657,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise
             finally:
                 sys.stdout = stdout
-        inputs, results = args.func(args)
+        module = __import__(f"{__package__}.{COMMANDS[args.command][0]}", fromlist=["*"])  # shown by -X importtime
+        inputs, results = getattr(module, f"cmd_{args.command}")(args)
         report = make_report(args.command, inputs, results, getattr(args, "seed", None))
         text = render_report(report, args.format)
         if sys.stdout is None:

@@ -9,11 +9,14 @@ from L_ref to L then adds 20*log10(L/L_ref) dB.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bell import CLASSICAL_BOUND, TSIRELSON_BOUND
 from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
 from .constants import checked
+
+if TYPE_CHECKING:
+    import argparse
 
 
 @checked
@@ -175,3 +178,40 @@ def budget_report(
             "correction_applies": rate >= PUBLISHED_CADENCE_THRESHOLD_HZ,
         },
     }
+
+
+# Unit suffixes are tried in order, so "m" comes after "km".
+_LENGTH_UNITS = {"km": 1e3, "m": 1.0}
+
+
+def parse_length(text: str, flag: str) -> float:
+    """'700km', '5300m' or a bare number of metres."""
+    from .cli import _quantity
+    return _quantity(text, _LENGTH_UNITS, flag)
+
+
+def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
+    ref_length = parse_length(args.ref_length, "--ref-length")
+    arms = []
+    for arm, length, eff in (("a", args.length_a, args.eff_a), ("b", args.length_b, args.eff_b)):
+        try:
+            arms.append(LinkSpec(parse_length(length, f"--length-{arm}"), ref_length, args.ref_loss_db, eff))
+        except ValueError as exc:
+            # A LinkSpec does not know its arm, so its errors name both arms' flags.
+            message = str(exc).replace("--length-a/--length-b", f"--length-{arm}")
+            raise ValueError(message.replace("--eff-a/--eff-b", f"--eff-{arm}")) from None
+    arm_a, arm_b = arms
+    inputs = {
+        "length_a_m": arm_a.length_m,
+        "length_b_m": arm_b.length_m,
+        "reference_length_m": ref_length,
+        "reference_loss_db": args.ref_loss_db,
+        "eff_a": args.eff_a,
+        "eff_b": args.eff_b,
+        "pair_rate_hz": args.pair_rate,
+        "s_expected": args.s_expected,
+        "k_sigma": args.k_sigma,
+    }
+    return inputs, budget_report(
+        arm_a, arm_b, pair_rate_hz=args.pair_rate, s_expected=args.s_expected, k_sigma=args.k_sigma
+    )

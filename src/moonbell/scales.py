@@ -3,16 +3,19 @@ powers N of the gravitational coupling :func:`moonbell.bounds.kappa` give a
 candidate speed V = kappa^N * c and distance D = kappa^N times the Planck
 length, and each candidate, with the modified-gravity scale, is classified
 against the distances an Earth-Moon experiment can probe.  Only the
-``scales`` command loads this module.
+``scales`` command, whose handler lives here, loads this module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import kappa
 from .constants import CONSTANTS, checked
+
+if TYPE_CHECKING:
+    import argparse
 
 CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
 
@@ -136,3 +139,28 @@ def mond_candidate(window: ObservationWindow = EARTH_MOON_WINDOW) -> AprioriCand
         d_m=MOND_SCALE_M,
         classification=classify_scale(MOND_SCALE_M, window),
     )
+
+
+def cmd_scales(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.n_values is not None:
+        parts = [p.strip() for p in args.n_values.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("--n-values must list at least one integer exponent")
+        try:
+            n_values = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"--n-values: {args.n_values!r} is not a comma-separated list of integers") from None
+    else:
+        n_values = [-1, 0, 1]
+    window = ObservationWindow(
+        EARTH_MOON_WINDOW.d_min_m if args.d_min is None else args.d_min,
+        EARTH_MOON_WINDOW.d_max_m if args.d_max is None else args.d_max,
+    )
+    rows = apriori_scales(n_values, mass_kg=args.mass, window=window)
+    rows.append(mond_candidate(window))
+    inputs = {
+        "n_values": n_values,
+        "mass_kg": args.mass,
+        "window_m": {"d_min": window.d_min_m, "d_max": window.d_max_m},
+    }
+    return inputs, {"rows": [r._asdict() for r in rows]}

@@ -17,19 +17,24 @@ changes neither the output nor the process count.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bell import CHSH_SIGNS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
-from .bounds import critical_speed
+from .bell import CHSH_SIGNS, DEFAULT_SETTINGS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
+from .bounds import critical_speed, scenario_timing
 from .constants import checked
 from .philox import Philox, choice, multinomial, seed_state
-from .scenario import Scenario
+from .scenario import Scenario, with_equalized_starts
+
+if TYPE_CHECKING:
+    import argparse
 
 # Seeds are taken modulo 2^64, so negative and oversized seeds still run.
 _SEED_MASK = (1 << 64) - 1
 
 # Most pairs one run may trace; each traced pair is drawn and kept one by one.
 MAX_TRACE = 100_000
+# Most speeds one sweep may take; each costs a run and a CSV row.
+MAX_POINTS = 100_000
 
 
 @checked
@@ -215,3 +220,152 @@ def sweep_speed(
         _, _, _, s_hat, stderr = _sample(tables[connected], n_pairs_per_point, sub_seed)
         points.append(SweepPoint(v, s_hat, stderr, connected))
     return tuple(points)
+
+
+# math.radians multiplies by this same double.
+_ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
+
+
+def parse_angle(text: str, flag: str) -> float:
+    """Radians by default; degrees only with an explicit 'deg' suffix."""
+    from .cli import _quantity
+    return _quantity(text, _ANGLE_UNITS, flag)
+
+
+def parse_speed(text: str, flag: str) -> float:
+    """A multiple of c; 'inf' or 'infinity' for an instantaneous influence."""
+    from .cli import _quantity
+    return _quantity(text, {}, flag)
+
+
+def parse_settings(text: str) -> ChshSettings:
+    parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) != 4:
+        raise ValueError(f"--settings needs four comma-separated angles: a,a',b,b', in {text!r}")
+    try:
+        a, a_prime, b, b_prime = (parse_angle(p, "--settings") for p in parts)
+        return ChshSettings(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, in {text!r}") from None
+
+
+def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict]:
+    """Scenario and settings of a simulate/sweep run, plus the inputs both echo."""
+    from .cli import _scenario_summary, resolve_scenario
+    scenario = resolve_scenario(args.scenario)
+    if args.equalize_starts:
+        scenario = with_equalized_starts(scenario)
+    settings = DEFAULT_SETTINGS if args.settings is None else parse_settings(args.settings)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    inputs = {
+        "scenario": _scenario_summary(scenario),
+        "fallback": args.fallback,
+        "depart_at_end": args.depart_at_end,
+        "equalize_starts": args.equalize_starts,
+        "settings": settings,
+        "workers": args.workers,
+    }
+    return scenario, settings, inputs
+
+
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
+    scenario, settings, inputs = _resolve_run(args)
+    model = CollapseModel(
+        v_over_c=parse_speed(args.v_over_c, "--v-over-c"),
+        fallback=args.fallback,
+        depart_at_end=args.depart_at_end,
+    )
+    result = simulate(
+        scenario,
+        model,
+        settings,
+        n_pairs=args.pairs,
+        seed=args.seed,
+        workers=args.workers,
+        trace_limit=args.trace,
+    )
+    results = {
+        "s_hat": result.s_hat,
+        "stderr_s": result.stderr_s,
+        "e_hat": result.e_hat,
+        "counts": result.counts,
+        "connected": result.connected,
+        "fraction_connected": float(result.connected),
+        "critical_v_over_c": critical_speed(scenario, args.depart_at_end),
+    }
+    if result.records:
+        # Every traced pair shares the run's one timeline, printed once here.
+        results["timing"] = {"emission_fs": 0, "arms": [t._asdict() for t in scenario_timing(scenario)]}
+        # Each distinct record (one per cell) becomes one row, repeated by reference.
+        distinct = {id(r): r for r in result.records}
+        rows = {key: {"connected": result.connected, **r._asdict()} for key, r in distinct.items()}
+        results["trace"] = [rows[id(r)] for r in result.records]
+    inputs.update(v_over_c=model.v_over_c, n_pairs=args.pairs, trace=args.trace)
+    return inputs, results
+
+
+def _build_grid(v_min: float, v_max: float, points: int, spacing: str) -> list[float]:
+    if points < 1:
+        raise ValueError(f"--points must be >= 1, got {points}")
+    if points > MAX_POINTS:
+        raise ValueError(f"--points must be at most {MAX_POINTS}, got {points}")
+    if not v_min > 0.0:
+        raise ValueError(f"--v-min must be > 0, got {v_min!r}")
+    if points == 1:
+        return [v_min]
+    for flag, v in (("--v-min", v_min), ("--v-max", v_max)):
+        if not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite")
+    if not v_max > v_min:
+        raise ValueError(f"--v-max must exceed --v-min {v_min!r}, got {v_max!r}")
+    if spacing == "log":
+        lo, hi = math.log10(v_min), math.log10(v_max)
+        grid = [10.0 ** (lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+    else:
+        grid = [v_min + (v_max - v_min) * i / (points - 1) for i in range(points)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"--points {points} is too many for --v-min {v_min!r} to --v-max {v_max!r}: "
+            f"the {spacing} grid repeats a speed"
+        )
+    return grid
+
+
+def cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict]:
+    scenario, settings, inputs = _resolve_run(args)
+    grid = _build_grid(args.v_min, args.v_max, args.points, args.spacing)
+    points = sweep_speed(
+        scenario,
+        fallback=args.fallback,
+        settings=settings,
+        v_grid=grid,
+        n_pairs_per_point=args.pairs,
+        seed=args.seed,
+        depart_at_end=args.depart_at_end,
+    )
+    # Full-precision floats, so the file is byte-stable for fixed inputs.
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("v_over_c,S_hat,stderr_S,n_pairs,fraction_connected\n")
+        for p in points:
+            fh.write(f"{p.v_over_c!r},{p.s_hat!r},{p.stderr_s!r},{args.pairs},{float(p.connected)!r}\n")
+    # The verdict is monotone in v, so these are the last disconnected and
+    # the first connected grid speeds; None when the grid is one-sided.
+    below = max((p.v_over_c for p in points if not p.connected), default=None)
+    above = min((p.v_over_c for p in points if p.connected), default=None)
+    v_star = critical_speed(scenario, args.depart_at_end)
+    inputs.update(
+        v_min=args.v_min,
+        v_max=args.v_max,
+        points=args.points,
+        spacing=args.spacing,
+        n_pairs_per_point=args.pairs,
+        out=args.out,
+    )
+    return inputs, {
+        "csv_path": args.out,
+        "rows": len(points),
+        "critical_v_over_c": v_star,
+        "transition_bracket": {"below": below, "above": above},
+        "bracket_contains_critical": (below is None or below < v_star) and (above is None or v_star <= above),
+    }

@@ -49,18 +49,26 @@ def test_no_command_imports_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# The steps arrive as a repr, so that the script itself loads no json.
+# The step arrives as a repr, so that the script itself loads no json.
 _MODULES_SCRIPT = """
-import ast, sys
+import ast, sys, types
 import moonbell.cli as cli
 
 def loaded(names):
     return [m for m in names if m in sys.modules]
 
-for argv, absent, present in ast.literal_eval(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
-    assert not loaded(absent), (argv, loaded(absent))
-    assert loaded(present) == present, (argv, present)
+argv, absent, present, handlers = ast.literal_eval(sys.argv[1])
+assert cli.main(argv) == 0, argv
+assert not loaded(absent), (argv, loaded(absent))
+assert loaded(present) == present, (argv, present)
+defined = sorted(
+    name
+    for module in list(sys.modules.values())
+    if module.__name__.startswith("moonbell")
+    for name, value in vars(module).items()
+    if name.startswith("cmd_") and isinstance(value, types.FunctionType) and value.__module__ == module.__name__
+)
+assert defined == sorted(handlers), (argv, defined)
 """
 
 
@@ -76,23 +84,27 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     neither = ["moonbell.simulate", "moonbell.philox", "moonbell.linkbudget", *never]
     unread = ["moonbell.document", "moonbell.scales", "json"]
     sampler = ["moonbell.simulate", "moonbell.philox"]
+    # Each handler lives in the module it drives, so a process compiles no
+    # other command's handler: cli holds only bound's, presets' and validate's.
+    cli_handlers = ["cmd_bound", "cmd_presets", "cmd_validate"]
+    run_handlers = [*cli_handlers, "cmd_simulate", "cmd_sweep"]
     steps = [
-        (["bound", "gisin1999"], [*neither, *unread], []),
-        (["presets"], [*neither, *unread], []),
+        (["bound", "gisin1999"], [*neither, *unread], [], cli_handlers),
+        (["presets"], [*neither, *unread], [], cli_handlers),
         (["linkbudget", "--length-a", "384400km", "--length-b", "500km",
           "--ref-loss-db", "30", "--pair-rate", "1e9"],
-         [*sampler, *never, *unread], ["moonbell.linkbudget"]),
-        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], [*never, *unread], sampler),
+         [*sampler, *never, *unread], ["moonbell.linkbudget"], [*cli_handlers, "cmd_linkbudget"]),
+        (["simulate", "gisin1999", "-n", "1000", "--trace", "3"], [*never, *unread], sampler, run_handlers),
         (["sweep", "gisin1999", "--v-min", "1e6", "--v-max", "1e8", "--points", "3", "-n", "1000",
-          "--out", str(tmp_path / "sweep.csv")], [*never, *unread], sampler),
+          "--out", str(tmp_path / "sweep.csv")], [*never, *unread], sampler, run_handlers),
+        (["scales"], [*neither, "moonbell.document", "json"], ["moonbell.scales"],
+         [*cli_handlers, "cmd_scales"]),
+        (["validate", str(scenario)], [*neither, "moonbell.scales"], ["moonbell.document"], cli_handlers),
     ]
-    # scales and validate each load a module that the steps above refuse, so
-    # each runs in a process of its own.
-    scales = [(["scales"], [*neither, "moonbell.document", "json"], ["moonbell.scales"])]
-    validate = [(["validate", str(scenario)], [*neither, "moonbell.scales"], ["moonbell.document"])]
-    for group in (steps, scales, validate):
+    # One fresh interpreter per command.
+    for step in steps:
         proc = subprocess.run(
-            [sys.executable, "-c", _MODULES_SCRIPT, repr(group)],
+            [sys.executable, "-c", _MODULES_SCRIPT, repr(step)],
             capture_output=True,
             text=True,
         )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from moonbell import cli, preset, scenario_to_json
+from moonbell.simulate import cmd_simulate
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 _PINNED_REPORTS = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
@@ -102,7 +103,7 @@ def test_pinned_reports_render_as_json_dumps(tmp_path, command):
 
 def test_trace_rows_are_one_dict_per_cell():
     args = cli.build_parser().parse_args(["simulate", "earth_moon_case3", "-n", "10000", "--trace", "10000"])
-    _, results = cli.cmd_simulate(args)
+    _, results = cmd_simulate(args)
     assert len(results["trace"]) == 10_000
     assert len({id(row) for row in results["trace"]}) <= 16
     report = cli.make_report("simulate", {}, results)

@@ -456,6 +456,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # The entry imports moonbell.cli; let it find this module, not compile a second copy.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     from .__main__ import run
 
     sys.exit(run())

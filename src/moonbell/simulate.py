@@ -199,25 +199,25 @@ def sweep_speed(
     """One simulated point per grid speed, in grid order.
 
     Each point has its own sub-seed, from ``SeedSequence`` over (seed, point
-    index), and equals :func:`simulate` at that sub-seed.  The threshold and
-    both 16-cell tables are made once per sweep, after the first point's
-    model and sub-seed, where :func:`simulate` would check and make them.
+    index), and equals :func:`simulate` at that sub-seed.  Before the first
+    point, the sweep checks the grid, the first point's model and the pair
+    count, and makes the threshold and both 16-cell tables once; each later
+    point's model is checked when that point is reached.
     """
     grid = [float(v) for v in v_grid]
     if len(grid) == 0:
         raise ValueError("v_grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("v_grid must be strictly ascending")
+    CollapseModel(v_over_c=grid[0], fallback=fallback, depart_at_end=depart_at_end)
+    _check_pairs(n_pairs_per_point)
+    v_star = critical_speed(scenario, depart_at_end)
+    tables = {True: _cells(settings, "quantum"), False: _cells(settings, fallback)}
     points = []
     for i, v in enumerate(grid):
         model = CollapseModel(v_over_c=v, fallback=fallback, depart_at_end=depart_at_end)
-        sub_seed = derive_seed(seed, i)
-        if i == 0:
-            _check_pairs(n_pairs_per_point)
-            v_star = critical_speed(scenario, depart_at_end)
-            tables = {True: _cells(settings, "quantum"), False: _cells(settings, fallback)}
         connected = model.v_over_c >= v_star
-        _, _, _, s_hat, stderr = _sample(tables[connected], n_pairs_per_point, sub_seed)
+        _, _, _, s_hat, stderr = _sample(tables[connected], n_pairs_per_point, derive_seed(seed, i))
         points.append(SweepPoint(v, s_hat, stderr, connected))
     return tuple(points)
 

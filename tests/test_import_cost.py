@@ -1,10 +1,13 @@
-"""Each command loads only the modules it runs, and no command loads numpy
-or dataclasses: sampling runs on moonbell.philox, a port of numpy's stream.
-Well-formed argv loads no argparse either; only help, --version and usage
-errors do.
+"""The start-up contract: each command loads only the modules it runs, and
+no command loads numpy or dataclasses (sampling runs on moonbell.philox, a
+port of numpy's stream). Well-formed argv loads no argparse either; only
+help, --version and usage errors do.
 
-Runs in a fresh interpreter, because the pytest process has numpy loaded
-already.
+This module is the one statement of that contract, down to the module lists
+of each command. Each command runs in a fresh interpreter, because the pytest
+process has numpy loaded already, and through the process entry
+moonbell.__main__.run, which the console script and python -m moonbell both
+call, so that every module the process loads is seen.
 """
 
 import json
@@ -15,14 +18,15 @@ from moonbell import preset, scenario_to_json
 
 _SCRIPT = """
 import json, sys
-import moonbell, moonbell.cli as cli
+from moonbell.__main__ import run
 
 def numpy_modules():
     return sorted(m for m in sys.modules if m.startswith("numpy"))
 
 assert not numpy_modules(), ("import", numpy_modules())
 for argv in json.loads(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
+    sys.argv = ["moonbell", *argv]
+    assert run() == 0, argv
     assert not numpy_modules(), (argv, numpy_modules())
 """
 
@@ -52,13 +56,14 @@ def test_no_command_imports_numpy(tmp_path):
 # The step arrives as a repr, so that the script itself loads no json.
 _MODULES_SCRIPT = """
 import ast, sys, types
-import moonbell.cli as cli
 
 def loaded(names):
     return [m for m in names if m in sys.modules]
 
 argv, absent, present, handlers = ast.literal_eval(sys.argv[1])
-assert cli.main(argv) == 0, argv
+sys.argv = ["moonbell", *argv]
+from moonbell.__main__ import run
+assert run() == 0, argv
 assert not loaded(absent), (argv, loaded(absent))
 assert loaded(present) == present, (argv, present)
 defined = sorted(
@@ -113,10 +118,11 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
 
 _HELP_SCRIPT = """
 import sys
-import moonbell.cli as cli
+from moonbell.__main__ import run
 
+sys.argv = ["moonbell", "bound", "--help"]
 try:
-    cli.main(["bound", "--help"])
+    run()
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 assert "argparse" in sys.modules

@@ -77,6 +77,23 @@ def test_console_script_and_python_m_share_one_entry():
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [(["bound", "gisin1999"], 0), (["bound", "gisin1999", "--tau=--"], 2), (["bound", "nosuch"], 3)],
+    ids=["report", "usage", "unknown-preset"],
+)
+def test_python_m_moonbell_cli_is_python_m_moonbell(argv, code):
+    entry = subprocess.run([sys.executable, "-m", "moonbell", *argv], capture_output=True)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "moonbell.cli", *argv], capture_output=True)
+    assert proc.returncode == entry.returncode == code
+    assert proc.stdout == entry.stdout
+    # -X importtime writes one "import time:" line per module it loads.
+    stderr = proc.stderr.decode().splitlines(keepends=True)
+    assert "".join(line for line in stderr if not line.startswith("import time:")) == entry.stderr.decode()
+    # cli.py runs as __main__; the entry it calls must not compile it again.
+    assert "moonbell.cli" not in [line.rsplit("|", 1)[-1].strip() for line in stderr]
+
+
+@pytest.mark.parametrize(
     "argv, code, stderr",
     [
         (["bound", "gisin1999"], 4, "error: [Errno 32] Broken pipe\n"),

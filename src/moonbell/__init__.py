@@ -56,8 +56,9 @@ from .scenario import (
 )
 
 # Names of the modules that only scenario documents, the scale survey,
-# sampling and link planning use. They are loaded on first access (PEP 562),
-# so `import moonbell` and the commands that need none of them stay short.
+# sampling, sweeps and link planning use. They are loaded on first access
+# (PEP 562), so `import moonbell` and the commands that need none of them
+# stay short.
 _LAZY = {
     **dict.fromkeys(
         ("load_scenario", "load_scenario_file", "scenario_to_dict", "scenario_to_json"),
@@ -91,13 +92,12 @@ _LAZY = {
             "CollapseModel",
             "PairRecord",
             "SimulationResult",
-            "SweepPoint",
             "derive_seed",
             "simulate",
-            "sweep_speed",
         ),
         "simulate",
     ),
+    **dict.fromkeys(("SweepPoint", "sweep_speed"), "sweep"),
 }
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))

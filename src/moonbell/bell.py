@@ -12,11 +12,14 @@ uncorrelated one, has a joint outcome table (:func:`outcome_probabilities`).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
 
-from .constants import checked
+from .constants import record
 
-CorrelationFn = Callable[[float, float], float]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable
+
+    CorrelationFn = Callable[[float, float], float]
 
 MODELS = ("quantum", "lhv", "uncorrelated")
 # The models a simulated run falls back to when the collapse influence is late.
@@ -41,8 +44,8 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if folded == math.pi else folded
 
 
-@checked
-class ChshSettings(NamedTuple):
+@record
+class ChshSettings:
     """The four analyzer angles of one Bell test, radians, each folded by
     :func:`canonical_angle`.
 

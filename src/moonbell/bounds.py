@@ -17,13 +17,13 @@ differences between sites, and the gravitational coupling :func:`kappa`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .constants import CONSTANTS, FS_PER_SECOND
+from .constants import CONSTANTS, FS_PER_SECOND, record
 from .scenario import Scenario, light_time
 
 
-class SpeedBound(NamedTuple):
+@record
+class SpeedBound:
     """Result of the 2*L_max/tau rule, speed in units of c."""
 
     l_max_m: float
@@ -57,7 +57,8 @@ def speed_bound(scenario: Scenario, tau_override_s: float | None = None) -> Spee
     return SpeedBound(l_max_m=l_max, tau_s=tau, v_min_over_c=v_min_over_c)
 
 
-class ArmTiming(NamedTuple):
+@record
+class ArmTiming:
     """Integer-femtosecond event times for one arm."""
 
     arrival_fs: int

@@ -12,11 +12,10 @@ Reports embed the full ledger so the two columns can always be compared.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .bell import DEFAULT_SETTINGS, chsh_value, quantum_correlation
 from .bounds import cadence_threshold, gain_factor, kappa, proper_time_correction, speed_bound
-from .constants import CONSTANTS
+from .constants import CONSTANTS, record
 from .scenario import detector_separation, preset
 
 # Proper-time corrections as printed in the proposal text (dimensionless).
@@ -33,7 +32,8 @@ PUBLISHED_CADENCE_THRESHOLD_HZ = cadence_threshold(
 PUBLISHED_EARTH_MOON_DISTANCE_M = 3.9e8
 
 
-class Claim(NamedTuple):
+@record
+class Claim:
     """One printed figure and the value recomputed from the stated formula."""
 
     claim_id: str

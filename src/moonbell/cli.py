@@ -13,11 +13,6 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any
-
-# CPython's C string encoder, which json.encoder itself uses; importing the
-# extension directly does not load the json package.
-from _json import encode_basestring_ascii
 
 from . import __version__
 from .bell import FALLBACKS, TSIRELSON_BOUND
@@ -26,8 +21,10 @@ from .claims import claims_as_dicts
 from .constants import CONSTANTS
 from .scenario import PRESET_NAMES, Scenario, UnknownPresetError, detector_separation, preset
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import Any
 
     from .document import load_scenario_file
 
@@ -142,6 +139,20 @@ def _has_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, as ``json.dumps`` writes it.
+
+    Printable ASCII without a quote or backslash stands for itself. Any other
+    text, and a key that is not a str, goes to CPython's C string encoder,
+    which json.encoder itself uses; importing the extension, only then,
+    does not load the json package."""
+    if text.__class__ is str and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from _json import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
 def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any]) -> None:
     """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys.
@@ -165,7 +176,7 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
             if isinstance(value, dict):
                 out.append("{")
                 for k, v in sorted(value.items()):
-                    out += (lead, encode_basestring_ascii(k), ": ")
+                    out += (lead, _json_string(k), ": ")
                     _json_chunks(v, depth + 1, out, seen)
                     lead = sep
                 out.append("\n" + "  " * depth + "}")
@@ -178,7 +189,7 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
                 out.append("\n" + "  " * depth + "]")
         seen[key] = (start, len(out))
     elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(_json_string(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -208,7 +219,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "text":
         # One line per key: a value that spans lines is written as its JSON literal.
         return "\n".join(
-            f"{key}: {encode_basestring_ascii(value) if isinstance(value, str) and _has_line_break(value) else value}"
+            f"{key}: {_json_string(value) if isinstance(value, str) and _has_line_break(value) else value}"
             for key, value in _flatten(report)
         ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
@@ -281,7 +292,7 @@ COMMANDS: dict[str, tuple[str, str, tuple[tuple[tuple[str, ...], dict], ...]]] =
         (("-n", "--pairs"), {"type": int, "default": 100_000}),
         (("--trace",), {"type": int, "default": 0, "help": "include the first N pair records"}),
     )),
-    "sweep": ("simulate", "S versus assumed speed, CSV output.", (
+    "sweep": ("sweep", "S versus assumed speed, CSV output.", (
         _FORMAT,
         *_RUN_OPTIONS,
         (("scenario",), {}),

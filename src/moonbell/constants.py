@@ -1,28 +1,103 @@
-"""Physical constants and shared defaults, SI units throughout."""
+"""Physical constants and shared defaults, SI units throughout, and
+:func:`record`, which builds every record type of the package."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, TypeVar
+# operator's C half, whose itemgetter it re-exports, without operator.py's
+# Python definitions.
+from _operator import itemgetter
 
-_Record = TypeVar("_Record", bound=type)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TypeVar
+
+    _Record = TypeVar("_Record", bound=type)
 
 
-def checked(cls: _Record) -> _Record:
-    """Make every construction of the NamedTuple ``cls`` return ``record._checked()``.
+def record(cls: _Record) -> _Record:
+    """The immutable record type of ``cls``'s annotated fields, in order.
 
-    A type that checks its fields is a NamedTuple whose ``_checked(self)``
-    method checks (or canonicalizes) the built tuple and returns it. The
-    constructor and ``_make`` both end in that call, and ``_replace`` builds
-    through ``_make``, so no construction path skips the checks.
+    The type is a tuple with namedtuple's API: a property per field,
+    ``_fields``, ``_field_defaults``, ``_make``, ``_replace``, ``_asdict``,
+    namedtuple's repr, pickling and ``__match_args__``. Class attributes
+    named after fields are their defaults, and ``cls``'s methods carry over.
+    A type that checks its fields defines ``_checked(self)``, which checks
+    (or canonicalizes) the built tuple and returns it; construction,
+    ``_make`` and ``_replace`` all end in that call, so no path skips it.
+    Unlike ``collections.namedtuple``, nothing is compiled per type.
     """
-    new, make = cls.__new__, cls._make.__func__
-    cls.__new__ = staticmethod(lambda cls, *args, **kwargs: new(cls, *args, **kwargs)._checked())
-    cls._make = classmethod(lambda cls, iterable: make(cls, iterable)._checked())
-    return cls
+    name, body = cls.__name__, vars(cls)
+    fields = tuple(cls.__annotations__)
+    defaults = {field: body[field] for field in fields if field in body}
+    checks = "_checked" in body
+    count = len(fields)
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _bind(name, fields, defaults, args, kwargs)
+        self = tuple.__new__(cls, args)
+        return self._checked() if checks else self
+
+    def _make(cls, iterable):
+        self = tuple.__new__(cls, iterable)
+        if len(self) != count:
+            raise TypeError(f"Expected {count} arguments, got {len(self)}")
+        return self._checked() if checks else self
+
+    namespace = {key: value for key, value in body.items() if key not in ("__dict__", "__weakref__", *fields)}
+    namespace.update(
+        {field: property(itemgetter(i), doc=f"Alias for field number {i}") for i, field in enumerate(fields)},
+        __slots__=(),
+        __new__=__new__,
+        _make=classmethod(_make),
+        _fields=fields,
+        _field_defaults=defaults,
+        __match_args__=fields,
+        _replace=_replace,
+        _asdict=_asdict,
+        __repr__=_repr,
+        __getnewargs__=_getnewargs,
+    )
+    return type(name, (tuple,), namespace)
 
 
-@checked
-class PhysicalConstants(NamedTuple):
+def _bind(name: str, fields: tuple[str, ...], defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values of the call ``name(*args, **kwargs)``, in field order."""
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    rest = fields[len(args) :]
+    for key in kwargs:
+        if key not in rest:
+            reason = "multiple values for argument" if key in fields else "an unexpected keyword argument"
+            raise TypeError(f"{name}() got {reason} {key!r}")
+    missing = [field for field in rest if field not in kwargs and field not in defaults]
+    if missing:
+        raise TypeError(f"{name}() missing required argument(s): {', '.join(map(repr, missing))}")
+    return [*args, *(kwargs[field] if field in kwargs else defaults[field] for field in rest)]
+
+
+def _replace(self, **changes):
+    """A copy with the named fields changed, checked as a new record is."""
+    result = self._make(map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return result
+
+
+def _asdict(self) -> dict:
+    return dict(zip(self._fields, self))
+
+
+def _repr(self) -> str:
+    return f"{self.__class__.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self))})"
+
+
+def _getnewargs(self) -> tuple:
+    return tuple(self)
+
+
+@record
+class PhysicalConstants:
     """Reference values (CODATA 2018 / IAU) used by every module.
 
     ``c`` is exact by definition of the metre; everything else carries the

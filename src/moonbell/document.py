@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
 
 from .scenario import Arm, Scenario, ScenarioError, Site, Vec
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 def _as_number(value: Any, field: str) -> float:

@@ -9,18 +9,18 @@ from L_ref to L then adds 20*log10(L/L_ref) dB.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
 
 from .bell import CLASSICAL_BOUND, TSIRELSON_BOUND
 from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
-from .constants import checked
+from .constants import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 
 
-@checked
-class LinkSpec(NamedTuple):
+@record
+class LinkSpec:
     """One optical arm: its length and a measured reference operating point.
 
     Parameters

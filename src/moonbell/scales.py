@@ -9,19 +9,19 @@ against the distances an Earth-Moon experiment can probe.  Only the
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import kappa
-from .constants import CONSTANTS, checked
+from .constants import CONSTANTS, record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 
 CLASSIFICATIONS = ("excluded", "unobservable_at_earth_moon", "observable")
 
 
-@checked
-class ObservationWindow(NamedTuple):
+@record
+class ObservationWindow:
     """Distance scales an experiment can probe, m."""
 
     d_min_m: float
@@ -46,8 +46,8 @@ EARTH_MOON_WINDOW = ObservationWindow(1e-2, 10.0 * CONSTANTS.d_earth_moon_mean)
 MOND_SCALE_M = 10.0 * CONSTANTS.kpc
 
 
-@checked
-class AprioriCandidate(NamedTuple):
+@record
+class AprioriCandidate:
     """One dimensional-analysis candidate: speed V, distance scale D.
 
     ``n`` is the power of kappa applied to the base values (V = c,

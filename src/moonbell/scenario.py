@@ -9,9 +9,8 @@ from the source to the detector; mirrors appear as intermediate vertices.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND, checked
+from .constants import CONSTANTS, DEFAULT_TAU_S, FS_PER_SECOND, record
 
 Vec = tuple[float, float, float]
 
@@ -49,8 +48,8 @@ class UnknownPresetError(LookupError):
     """Requested preset name is not one of :data:`PRESET_NAMES`."""
 
 
-@checked
-class Site(NamedTuple):
+@record
+class Site:
     """A named location, Cartesian metres in the privileged frame."""
 
     name: str
@@ -62,8 +61,8 @@ class Site(NamedTuple):
         return self
 
 
-@checked
-class Arm(NamedTuple):
+@record
+class Arm:
     """One detector, the photon path reaching it, and its measurement window.
 
     ``path`` holds the vertices of the straight segments the photon
@@ -109,8 +108,8 @@ class Arm(NamedTuple):
         return sum(math.dist(self.path[i], self.path[i + 1]) for i in range(len(self.path) - 1))
 
 
-@checked
-class Scenario(NamedTuple):
+@record
+class Scenario:
     """A complete two-arm experiment geometry.
 
     Immutable after construction; safe to share between threads/processes.

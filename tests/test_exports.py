@@ -1,7 +1,7 @@
 """The package's public names, whichever moonbell module loads first.
 
-`moonbell.document`, `moonbell.scales`, `moonbell.simulate` and
-`moonbell.linkbudget` load on first access, and the import system binds a
+`moonbell.document`, `moonbell.scales`, `moonbell.simulate`,
+`moonbell.sweep` and `moonbell.linkbudget` load on first access, and the import system binds a
 newly loaded submodule onto its package. So each case runs in a fresh
 interpreter and checks that every exported name, `simulate` above all, is
 still the object its defining module holds.
@@ -39,10 +39,8 @@ _EXPORTS = {
         "UnknownPresetError", "detector_separation", "light_time", "preset",
         "symmetric_scenario", "with_equalized_starts",
     ],
-    "simulate": [
-        "CollapseModel", "PairRecord", "SimulationResult", "SweepPoint", "derive_seed",
-        "simulate", "sweep_speed",
-    ],
+    "simulate": ["CollapseModel", "PairRecord", "SimulationResult", "derive_seed", "simulate"],
+    "sweep": ["SweepPoint", "sweep_speed"],
 }
 # Submodules exported by name; `simulate` is exported as the function.
 _SUBMODULES = ["bell", "bounds", "claims", "constants", "linkbudget", "scenario"]
@@ -84,6 +82,7 @@ def test_all_is_pinned():
         "from moonbell.simulate import derive_seed",
         "import moonbell.linkbudget",
         "import moonbell.scales",
+        "import moonbell.sweep",
         "from moonbell.cli import load_scenario_file",
         "from moonbell import simulate",
         "from moonbell import cli; assert cli.main(['simulate', 'gisin1999', '-n', '10']) == 0",

@@ -1,9 +1,10 @@
 """The process entry, ``moonbell.__main__.run``: the console script and
-``python -m moonbell`` both call it, it freezes the heap on every way out of
-a process, and a reader that has gone gives exit 4, not an exit-time error.
+``python -m moonbell`` both call it. It ends the process with its exit code
+on every way out, after the atexit hooks have run and every buffered byte
+is written, and a reader that has gone gives exit 4, not an exit-time error.
 
-The freeze and pipe checks run moonbell in child processes, because
-freezing is only for a process that is about to end.
+These checks run moonbell in child processes, because the entry ends the
+process that calls it.
 """
 
 import ast
@@ -21,11 +22,11 @@ from moonbell.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-# Runs moonbell as ``python -m moonbell`` does, with an atexit hook that
-# reports the freeze count after the entry has returned.
-_FREEZE_SCRIPT = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: sys.stderr.write(f"\\nfreeze_count={gc.get_freeze_count()}\\n"))
+# Runs moonbell as ``python -m moonbell`` does, after registering an atexit
+# hook that reports on stderr once the entry has ended the run.
+_ATEXIT_SCRIPT = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\natexit hook ran\\n"))
 sys.argv[0] = "moonbell"
 runpy.run_module("moonbell", run_name="__main__", alter_sys=True)
 """
@@ -42,15 +43,40 @@ runpy.run_module("moonbell", run_name="__main__", alter_sys=True)
     ],
     ids=["report", "usage", "unknown-preset", "unwritable-out"],
 )
-def test_the_process_freezes_its_heap_on_every_way_out(argv, code, tmp_path):
+def test_every_way_out_keeps_its_exit_code_and_runs_atexit_hooks(argv, code, tmp_path):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", _FREEZE_SCRIPT, *argv], capture_output=True, text=True
+        [sys.executable, "-c", _ATEXIT_SCRIPT, *argv], capture_output=True, text=True
     )
     assert proc.returncode == code, proc.stderr
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("freeze_count="), proc.stderr
-    assert int(last.partition("=")[2]) > 0
+    assert proc.stderr.endswith("\natexit hook ran\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Some 19 MB, far more than a pipe or stdout's buffer holds.
+        ["simulate", "gisin1999", "-n", "200000", "--trace", "100000"],
+        # Less than stdout's 8 KiB buffer, which holds it until a flush.
+        ["bound", "gisin1999", "--format", "text"],
+        # argparse writes help and --version and exits; only the entry flushes them.
+        ["--help"],
+        ["--version"],
+    ],
+    ids=["trace", "small", "help", "version"],
+)
+def test_a_piped_report_is_written_whole(argv):
+    # A block-buffered stdout, the default for a pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "moonbell", *argv], capture_output=True, env=env)
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert (proc.returncode, code, proc.stderr) == (0, 0, b"")
+    assert proc.stdout == expected.getvalue().encode()
 
 
 def test_an_in_process_call_does_not_freeze():

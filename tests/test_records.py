@@ -3,11 +3,12 @@
 Each validating type rejects a bad field with one exact message, whether
 the record is built by the constructor, by `_make` or as a `_replace`
 copy; no type lets a field be reassigned, and every copy a helper makes is
-validated again.
+validated again. Every type behaves as the namedtuple of its fields.
 """
 
 import json
 import math
+import pickle
 import subprocess
 import sys
 
@@ -183,6 +184,74 @@ def _instances():
         "LinkSpec": (LinkSpec(1e3, 1e3, 0.0), "length_m"),
         "ObservationWindow": (EARTH_MOON_WINDOW, "d_max_m"),
     }
+
+
+# Each record type's fields, in order, and the defaults among them.
+_FIELDS = {
+    "SpeedBound": (("l_max_m", "tau_s", "v_min_over_c"), {}),
+    "ArmTiming": (("arrival_fs", "measure_start_fs", "measure_end_fs"), {}),
+    "AprioriCandidate": (("n", "v_over_c", "d_m", "classification"), {}),
+    "Claim": (("claim_id", "paper_location", "paper_value", "computed_value", "note"), {"note": ""}),
+    "PhysicalConstants": (
+        ("c", "G", "hbar", "GM_earth", "GM_moon", "R_earth", "R_moon", "m_proton", "d_earth_moon_mean",
+         "kpc", "planck_length"),
+        CONSTANTS._asdict(),
+    ),
+    "PairRecord": (("settings", "outcomes"), {}),
+    "SimulationResult": (("e_hat", "counts", "s_hat", "stderr_s", "connected", "records"), {"records": ()}),
+    "SweepPoint": (("v_over_c", "s_hat", "stderr_s", "connected"), {}),
+    "Site": (("name", "position"), {}),
+    "Arm": (("detector", "path", "tau_s", "offset_s"), {"offset_s": 0.0}),
+    "Scenario": (("name", "source", "arms", "frame_note"),
+                 {"frame_note": "coordinates at rest relative to the laboratory"}),
+    "ChshSettings": (("a", "a_prime", "b", "b_prime"), DEFAULT_SETTINGS._asdict()),
+    "CollapseModel": (("v_over_c", "fallback", "depart_at_end"), {"fallback": "uncorrelated", "depart_at_end": False}),
+    "LinkSpec": (("length_m", "reference_length_m", "reference_loss_db", "detector_efficiency"),
+                 {"detector_efficiency": 1.0}),
+    "ObservationWindow": (("d_min_m", "d_max_m"), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+def test_each_record_type_behaves_as_the_namedtuple_of_its_fields(name, monkeypatch):
+    record, _ = _instances()[name]
+    cls = type(record)
+    fields, defaults = _FIELDS[name]
+    assert cls.__name__ == name
+    assert (cls._fields, cls._field_defaults, cls.__match_args__) == (fields, defaults, fields)
+    assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, record)) + ")"
+    assert record._asdict() == dict(zip(fields, record)) and type(record._asdict()) is dict
+    assert [getattr(record, f) for f in fields] == list(record)
+    assert record.__getnewargs__() == tuple(record)
+    match record:
+        case cls(first):
+            assert first == record[0]
+    # Each way of building a record gives an equal record of the same type,
+    # through one _checked call when the type defines one.
+    calls = []
+    if "_checked" in vars(cls):
+        checked = cls._checked
+        monkeypatch.setattr(cls, "_checked", lambda self: calls.append(1) or checked(self))
+    required = record[: len(fields) - len(defaults)]
+    builds = [
+        (lambda: cls(**record._asdict()), record),
+        (lambda: cls(*required), record._replace(**defaults)),
+        (lambda: cls._make(iter(record)), record),
+        (lambda: record._replace(), record),
+        (lambda: record._replace(**{fields[0]: record[0]}), record),
+        *((lambda p=p: pickle.loads(pickle.dumps(record, p)), record) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for build, expected in builds:
+        before = len(calls)
+        copy = build()
+        assert type(copy) is cls and copy == expected
+        assert len(calls) - before == ("_checked" in vars(cls))
+    with pytest.raises(TypeError):
+        cls._make(tuple(record) + (None,))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        record._replace(no_such_field=1)
 
 
 def test_no_field_can_be_reassigned():

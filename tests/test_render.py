@@ -72,10 +72,19 @@ def test_json_render_fails_as_json_dumps_does(tree):
     ["", " ", "~", "plain text, 1/2", '"', "\\", "\x7f", "\x1f", "\t", "é", "\u2028", "\U0001f319"],
 )
 def test_json_render_escapes_strings_as_json_dumps(text):
-    # The renderer escapes every string with _json's C encoder, which
-    # json.dumps uses too.
+    # The renderer quotes printable ASCII itself and hands any other string
+    # to _json's C encoder, which json.dumps uses too.
     tree = {text: text}
     assert cli.render_report(tree, "json") == _dumps(tree)
+
+
+@hyp_settings(max_examples=500, deadline=None)
+# Every code point: control characters, DEL, quotes, backslashes, non-ASCII
+# and lone surrogates among them; and text made of the characters the
+# encoder's printable-ASCII path must hand on.
+@given(st.text(st.characters(exclude_categories=())) | st.text(st.sampled_from(' ~"\\\x00\x1f\x7f\x80\ud800')))
+def test_string_encoder_is_json_dumps(text):
+    assert cli._json_string(text) == json.dumps(text)
 
 
 def test_json_render_takes_only_str_keys():

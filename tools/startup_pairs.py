@@ -6,6 +6,7 @@ against the working tree, as change - parent wall time per argv.
         --argv "bound earth_moon_case3" --argv "presets"
     python3 tools/startup_pairs.py --parent HEAD --pairs 31 --bytecode cached \
         --argv=--help --argv "bound gisin1999 --format yaml"
+    python3 tools/startup_pairs.py --parent HEAD --pairs 31 --bytecode uncached --no-site
 
 An argv that starts with "-" must be given in the ``--argv=--help`` form;
 ``--argv --help`` is read as a missing value.
@@ -14,7 +15,9 @@ Both trees are packed and unpacked with the helpers of tools/bench_pairs.py,
 so neither side runs from the checkout. With ``--bytecode cached`` each
 tree's src/moonbell is compiled once before timing; with ``uncached`` every
 child runs with PYTHONDONTWRITEBYTECODE=1 from a tree that has no
-``__pycache__``, so each process compiles moonbell. Each pair runs every argv
+``__pycache__``, so each process compiles moonbell. With ``--no-site`` every
+child runs as ``python -S``, so that what ``site`` loads (a ``.pth`` file may
+import typing, say) cannot hide a start-up cost. Each pair runs every argv
 once on each side, and the side that goes first alternates from pair to pair.
 Each child runs from its own tree, so a relative ``--out`` lands there, and
 ``{scenario_file}`` in an argv stands for a scenario file that the tool
@@ -55,12 +58,12 @@ DEFAULT_ARGVS = (
 )
 
 
-def wall_ms(tree: Path, argv: list[str], env: dict[str, str]) -> tuple[float, int]:
-    """Wall time of one ``python -m moonbell`` process run from ``tree``, in
-    ms, and its exit code."""
+def wall_ms(tree: Path, argv: list[str], env: dict[str, str], options: list[str]) -> tuple[float, int]:
+    """Wall time of one ``python *options -m moonbell`` process run from
+    ``tree``, in ms, and its exit code."""
     start = time.perf_counter_ns()
     proc = subprocess.run(
-        [sys.executable, "-m", "moonbell", *argv],
+        [sys.executable, *options, "-m", "moonbell", *argv],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return (time.perf_counter_ns() - start) / 1e6, proc.returncode
@@ -72,6 +75,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=31)
     parser.add_argument("--bytecode", choices=("cached", "uncached"), required=True)
     parser.add_argument("--argv", action="append", help="a moonbell argv, shell-quoted; repeatable")
+    parser.add_argument("--no-site", action="store_true", help="run every child as python -S")
     args = parser.parse_args()
 
     sides = ("parent", "change")
@@ -100,10 +104,11 @@ def main() -> int:
                  "print(scenario_to_json(preset('earth_moon_case3')))"],
                 env=envs["change"], stdout=fh, check=True,
             )
+        options = ["-S"] if args.no_site else []
         for i in range(args.pairs):
             for side in sides if i % 2 == 0 else sides[::-1]:
                 for k, argv in enumerate(argvs):
-                    ms, codes[side][k] = wall_ms(trees[side], argv, envs[side])
+                    ms, codes[side][k] = wall_ms(trees[side], argv, envs[side], options)
                     times[side][k].append(ms)
             differ = [shlex.join(argv) for k, argv in enumerate(argvs) if codes["parent"][k] != codes["change"][k]]
             if differ:
@@ -112,7 +117,8 @@ def main() -> int:
         if cached != {side: args.bytecode == "cached" for side in trees}:
             raise SystemExit(f"--bytecode {args.bytecode}, but src/moonbell/__pycache__ present: {cached}")
 
-    print(f"{args.pairs} pairs, {args.bytecode} bytecode; change - parent wall time, ms")
+    site = ", python -S" if args.no_site else ""
+    print(f"{args.pairs} pairs, {args.bytecode} bytecode{site}; change - parent wall time, ms")
     print(f"{'median':>8} {'q1':>8} {'q3':>8} {'won':>7} {'parent':>8} {'change':>8} {'exit':>4}  argv")
     for k, argv in enumerate(argvs):
         parent, change = times["parent"][k], times["change"][k]

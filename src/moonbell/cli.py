@@ -18,13 +18,13 @@ from . import __version__
 from .bell import FALLBACKS, TSIRELSON_BOUND
 from .bounds import critical_speed, gain_factor, speed_bound  # bench/tracing.py rebinds critical_speed
 from .claims import claims_as_dicts
-from .constants import CONSTANTS
+from .constants import CONSTANTS, quantity
 from .scenario import PRESET_NAMES, Scenario, UnknownPresetError, detector_separation, preset
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
-    from typing import Any
+    from typing import Any, Callable
 
     from .document import load_scenario_file
 
@@ -50,31 +50,9 @@ EXIT_VALIDATION = 2
 EXIT_UNKNOWN_REF = 3
 EXIT_IO = 4
 
-# Unit suffixes are tried in order, so "s" comes after "fs".
+# Seconds: '10ps', '5 ns', '1.5s' or a bare number. Unit suffixes are tried
+# in order, so "s" comes after "fs".
 _DURATION_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-
-
-def _quantity(text: str, units: dict[str, float], flag: str) -> float:
-    """A number with an optional unit suffix, in the units' base unit.
-
-    A malformed value raises a ValueError that names ``flag`` and ``text``.
-    """
-    value = text.strip().lower()
-    number, scale = value, 1.0
-    for unit, unit_scale in units.items():
-        if value.endswith(unit):
-            number, scale = value[: -len(unit)], unit_scale
-            break
-    try:
-        return float(number) * scale
-    except ValueError:
-        suffix = f" with an optional {'/'.join(units)} suffix" if units else ""
-        raise ValueError(f"{flag}: {text!r} is not a number{suffix}") from None
-
-
-def parse_duration(text: str, flag: str) -> float:
-    """'10ps', '5 ns', '1.5s' or a bare number of seconds."""
-    return _quantity(text, _DURATION_UNITS, flag)
 
 
 def resolve_scenario(ref: str) -> Scenario:
@@ -145,7 +123,8 @@ def _json_string(text: str) -> str:
     Printable ASCII without a quote or backslash stands for itself. Any other
     text, and a key that is not a str, goes to CPython's C string encoder,
     which json.encoder itself uses; importing the extension, only then,
-    does not load the json package."""
+    does not load the json package. A render in a process that has loaded
+    the extension already calls it for every string instead."""
     if text.__class__ is str and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
     from _json import encode_basestring_ascii
@@ -153,9 +132,12 @@ def _json_string(text: str) -> str:
     return encode_basestring_ascii(text)
 
 
-def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any]) -> None:
+def _json_chunks(
+    value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any], quote: Callable[[str], str]
+) -> None:
     """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys.
+    allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys,
+    each string and key quoted by ``quote``.
 
     ``seen`` maps each (container, depth) rendered so far to its span of
     ``out``; a container met again is joined once from that span, kept as
@@ -176,20 +158,20 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
             if isinstance(value, dict):
                 out.append("{")
                 for k, v in sorted(value.items()):
-                    out += (lead, _json_string(k), ": ")
-                    _json_chunks(v, depth + 1, out, seen)
+                    out += (lead, quote(k), ": ")
+                    _json_chunks(v, depth + 1, out, seen, quote)
                     lead = sep
                 out.append("\n" + "  " * depth + "}")
             else:
                 out.append("[")
                 for v in value:
                     out.append(lead)
-                    _json_chunks(v, depth + 1, out, seen)
+                    _json_chunks(v, depth + 1, out, seen, quote)
                     lead = sep
                 out.append("\n" + "  " * depth + "]")
         seen[key] = (start, len(out))
     elif isinstance(value, str):
-        out.append(_json_string(value))
+        out.append(quote(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -204,8 +186,9 @@ def _json_chunks(value: Any, depth: int, out: list[str], seen: dict[tuple[int, i
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
+        encoder = sys.modules.get("_json")
         out: list[str] = []
-        _json_chunks(report, 0, out, {})
+        _json_chunks(report, 0, out, {}, _json_string if encoder is None else encoder.encode_basestring_ascii)
         out.append("\n")
         return "".join(out)
     if fmt == "csv":
@@ -237,7 +220,7 @@ def _scenario_summary(scenario: Scenario) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> tuple[dict, dict]:
     scenario = resolve_scenario(args.scenario)
-    tau = parse_duration(args.tau, "--tau") if args.tau is not None else None
+    tau = quantity(args.tau, _DURATION_UNITS, "--tau") if args.tau is not None else None
     bound = speed_bound(scenario, tau)
     # Gains compared at the same resolved tau, so they reduce to length ratios.
     gains = {

@@ -1,5 +1,7 @@
-"""Physical constants and shared defaults, SI units throughout, and
-:func:`record`, which builds every record type of the package."""
+"""Physical constants and shared defaults, SI units throughout;
+:func:`record`, which builds every record type of the package; and
+:func:`quantity`, which reads every number with a unit suffix that the CLI
+takes."""
 
 from __future__ import annotations
 
@@ -94,6 +96,24 @@ def _repr(self) -> str:
 
 def _getnewargs(self) -> tuple:
     return tuple(self)
+
+
+def quantity(text: str, units: dict[str, float], flag: str) -> float:
+    """A number with an optional unit suffix, in the units' base unit.
+
+    A malformed value raises a ValueError that names ``flag`` and ``text``.
+    """
+    value = text.strip().lower()
+    number, scale = value, 1.0
+    for unit, unit_scale in units.items():
+        if value.endswith(unit):
+            number, scale = value[: -len(unit)], unit_scale
+            break
+    try:
+        return float(number) * scale
+    except ValueError:
+        suffix = f" with an optional {'/'.join(units)} suffix" if units else ""
+        raise ValueError(f"{flag}: {text!r} is not a number{suffix}") from None
 
 
 @record

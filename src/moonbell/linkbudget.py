@@ -12,7 +12,7 @@ import math
 
 from .bell import CLASSICAL_BOUND, TSIRELSON_BOUND
 from .claims import PUBLISHED_CADENCE_THRESHOLD_HZ
-from .constants import record
+from .constants import quantity, record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -180,22 +180,17 @@ def budget_report(
     }
 
 
-# Unit suffixes are tried in order, so "m" comes after "km".
+# Metres: '700km', '5300m' or a bare number. Unit suffixes are tried in
+# order, so "m" comes after "km".
 _LENGTH_UNITS = {"km": 1e3, "m": 1.0}
 
 
-def parse_length(text: str, flag: str) -> float:
-    """'700km', '5300m' or a bare number of metres."""
-    from .cli import _quantity
-    return _quantity(text, _LENGTH_UNITS, flag)
-
-
 def cmd_linkbudget(args: argparse.Namespace) -> tuple[dict, dict]:
-    ref_length = parse_length(args.ref_length, "--ref-length")
+    ref_length = quantity(args.ref_length, _LENGTH_UNITS, "--ref-length")
     arms = []
     for arm, length, eff in (("a", args.length_a, args.eff_a), ("b", args.length_b, args.eff_b)):
         try:
-            arms.append(LinkSpec(parse_length(length, f"--length-{arm}"), ref_length, args.ref_loss_db, eff))
+            arms.append(LinkSpec(quantity(length, _LENGTH_UNITS, f"--length-{arm}"), ref_length, args.ref_loss_db, eff))
         except ValueError as exc:
             # A LinkSpec does not know its arm, so its errors name both arms' flags.
             message = str(exc).replace("--length-a/--length-b", f"--length-{arm}")

@@ -20,7 +20,7 @@ import math
 
 from .bell import CHSH_SIGNS, DEFAULT_SETTINGS, FALLBACKS, OUTCOMES, ChshSettings, outcome_probabilities
 from .bounds import critical_speed, scenario_timing
-from .constants import record
+from .constants import quantity, record
 from .philox import Philox, choice, multinomial, seed_state
 from .scenario import Scenario, with_equalized_starts
 
@@ -180,20 +180,9 @@ def simulate(
     )
 
 
+# Radians by default; degrees only with an explicit 'deg' suffix.
 # math.radians multiplies by this same double.
 _ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
-
-
-def parse_angle(text: str, flag: str) -> float:
-    """Radians by default; degrees only with an explicit 'deg' suffix."""
-    from .cli import _quantity
-    return _quantity(text, _ANGLE_UNITS, flag)
-
-
-def parse_speed(text: str, flag: str) -> float:
-    """A multiple of c; 'inf' or 'infinity' for an instantaneous influence."""
-    from .cli import _quantity
-    return _quantity(text, {}, flag)
 
 
 def parse_settings(text: str) -> ChshSettings:
@@ -201,7 +190,7 @@ def parse_settings(text: str) -> ChshSettings:
     if len(parts) != 4:
         raise ValueError(f"--settings needs four comma-separated angles: a,a',b,b', in {text!r}")
     try:
-        a, a_prime, b, b_prime = (parse_angle(p, "--settings") for p in parts)
+        a, a_prime, b, b_prime = (quantity(p, _ANGLE_UNITS, "--settings") for p in parts)
         return ChshSettings(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
     except ValueError as exc:
         raise ValueError(f"{exc}, in {text!r}") from None
@@ -230,7 +219,8 @@ def _resolve_run(args: argparse.Namespace) -> tuple[Scenario, ChshSettings, dict
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     scenario, settings, inputs = _resolve_run(args)
     model = CollapseModel(
-        v_over_c=parse_speed(args.v_over_c, "--v-over-c"),
+        # A multiple of c; 'inf' or 'infinity' for an instantaneous influence.
+        v_over_c=quantity(args.v_over_c, {}, "--v-over-c"),
         fallback=args.fallback,
         depart_at_end=args.depart_at_end,
     )

@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -13,8 +14,11 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from moonbell import claims_as_dicts, preset, scenario_to_json
-from moonbell.cli import COMMANDS, build_parser, main, parse_well_formed
+from moonbell.cli import _DURATION_UNITS, COMMANDS, build_parser, main, parse_well_formed
 from moonbell.bounds import scenario_timing
+from moonbell.constants import quantity
+from moonbell.linkbudget import _LENGTH_UNITS
+from moonbell.simulate import _ANGLE_UNITS
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 REPORT_SCHEMA = json.loads((REPO / "docs" / "run_report_schema.json").read_text())
@@ -763,6 +767,35 @@ def test_out_of_range_numbers_exit_2(argv, needle):
     assert proc.stdout == ""
     assert needle in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_UNIT_TABLES = {"--tau": _DURATION_UNITS, "--settings": _ANGLE_UNITS, "--length-a": _LENGTH_UNITS, "--v-over-c": {}}
+
+
+@pytest.mark.parametrize("flag, units", _UNIT_TABLES.items())
+def test_quantity_reads_every_unit_of_its_table(flag, units):
+    # Suffixes are tried in table order, so "2.5ms" is read as milliseconds,
+    # not as the seconds of "2.5m", and "2.5km" as kilometres.
+    for unit, scale in units.items():
+        assert quantity(f"2.5{unit}", units, flag) == 2.5 * scale, unit
+        assert quantity(f"  2.5{unit.upper()}\t", units, flag) == 2.5 * scale, unit
+    assert quantity(" 1.5e6 ", units, flag) == 1.5e6
+    assert [quantity(text, units, flag) for text in ("inf", " INFINITY", "-inf")] == [math.inf, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "text, units, flag, message",
+    [
+        (" 5xs ", _DURATION_UNITS, "--tau", "--tau: ' 5xs ' is not a number with an optional fs/ps/ns/us/ms/s suffix"),
+        ("45dgr", _ANGLE_UNITS, "--settings", "--settings: '45dgr' is not a number with an optional deg/rad suffix"),
+        ("km", _LENGTH_UNITS, "--ref-length", "--ref-length: 'km' is not a number with an optional km/m suffix"),
+        ("fast", {}, "--v-over-c", "--v-over-c: 'fast' is not a number"),
+    ],
+)
+def test_quantity_names_the_flag_and_the_text_it_cannot_read(text, units, flag, message):
+    with pytest.raises(ValueError) as raised:
+        quantity(text, units, flag)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

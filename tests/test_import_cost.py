@@ -99,12 +99,17 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     # Each handler lives in the module it drives, so a process compiles no
     # other command's handler: cli holds only bound's, presets' and validate's.
     cli_handlers = ["cmd_bound", "cmd_presets", "cmd_validate"]
+    # A unit suffix is read by moonbell.constants, which every command loads.
+    bound_tau = ["bound", "earth_moon_case3", "--tau", "10ps"]
+    simulate_settings = ["simulate", "earth_moon_case3", "-n", "1000", "--settings", "0,45deg,22.5deg,67.5deg"]
     steps = [
         (bound, [*neither, *unread], [], cli_handlers),
+        (bound_tau, [*neither, *unread], [], cli_handlers),
         (presets, [*neither, *unread], [], cli_handlers),
         (linkbudget, [*sampler, "moonbell.sweep", *never, *unread], ["moonbell.linkbudget"],
          [*cli_handlers, "cmd_linkbudget"]),
         (simulate, ["moonbell.sweep", *never, *unread], sampler, [*cli_handlers, "cmd_simulate"]),
+        (simulate_settings, ["moonbell.sweep", *never, *unread], sampler, [*cli_handlers, "cmd_simulate"]),
         (sweep, [*never, *unread], [*sampler, "moonbell.sweep"], [*cli_handlers, "cmd_simulate", "cmd_sweep"]),
         (scales, [*neither, "moonbell.document", "json", "_json"], ["moonbell.scales"],
          [*cli_handlers, "cmd_scales"]),

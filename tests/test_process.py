@@ -9,7 +9,6 @@ process that calls it.
 
 import ast
 import contextlib
-import gc
 import io
 import os
 import pathlib
@@ -79,11 +78,21 @@ def test_a_piped_report_is_written_whole(argv):
     assert proc.stdout == expected.getvalue().encode()
 
 
-def test_an_in_process_call_does_not_freeze():
-    before = gc.get_freeze_count()
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["presets"]) == 0
-    assert gc.get_freeze_count() == before
+# Calls moonbell.cli.main in a process that goes on after it.
+_IN_PROCESS_SCRIPT = """
+import atexit
+from moonbell.cli import main
+atexit.register(lambda: print("atexit hook ran"))
+code = main(["presets"])
+print(f"main returned {code}")
+"""
+
+
+def test_an_in_process_call_returns_and_leaves_the_process_running():
+    proc = subprocess.run([sys.executable, "-c", _IN_PROCESS_SCRIPT], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("{")
+    assert proc.stdout.endswith("}\nmain returned 0\natexit hook ran\n")
 
 
 def test_console_script_and_python_m_share_one_entry():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -67,14 +68,26 @@ def test_json_render_fails_as_json_dumps_does(tree):
     assert str(raised.value) == str(expected.value)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", " ", "~", "plain text, 1/2", '"', "\\", "\x7f", "\x1f", "\t", "é", "\u2028", "\U0001f319"],
-)
+_TEXTS = ["", " ", "~", "plain text, 1/2", '"', "\\", "\x7f", "\x1f", "\t", "é", "\u2028", "\U0001f319"]
+
+
+@pytest.mark.parametrize("text", _TEXTS)
 def test_json_render_escapes_strings_as_json_dumps(text):
-    # The renderer quotes printable ASCII itself and hands any other string
-    # to _json's C encoder, which json.dumps uses too.
+    # This process has loaded _json, as json.dumps uses it, so the renderer
+    # quotes every string with _json's C encoder.
     tree = {text: text}
+    assert cli.render_report(tree, "json") == _dumps(tree)
+
+
+def test_json_render_without_json_loaded_is_json_dumps(monkeypatch):
+    # As in a fresh process: the renderer quotes printable ASCII itself and
+    # loads _json's C encoder for any other string and for a key not a str,
+    # so each render below starts with _json unloaded.
+    monkeypatch.delitem(sys.modules, "_json")
+    with pytest.raises(TypeError):
+        cli.render_report({1: "one"}, "json")
+    monkeypatch.delitem(sys.modules, "_json")
+    tree = {text: text for text in _TEXTS}
     assert cli.render_report(tree, "json") == _dumps(tree)
 
 

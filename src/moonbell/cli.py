@@ -64,52 +64,31 @@ def resolve_scenario(ref: str) -> Scenario:
     raise UnknownPresetError(f"{ref!r} is neither a preset name nor an existing file")
 
 
-def _jsonable(value: Any, memo: dict[int, Any]) -> Any:
-    """Make a report JSON-safe: inf/nan become strings, tuples become lists.
-    ``memo`` maps a container's id to its conversion, so each is converted once."""
-    if isinstance(value, (dict, list, tuple)):
-        done = memo.get(id(value))
-        if done is None:
-            if isinstance(value, dict):
-                done = {k: _jsonable(v, memo) for k, v in value.items()}
-            else:
-                done = [_jsonable(v, memo) for v in value]
-            memo[id(value)] = done
-        return done
-    if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            return "nan"
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def make_report(command: str, inputs: dict, results: dict, seed: int | None = None) -> dict:
-    return _jsonable(
-        {
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-            "discrepancies": claims_as_dicts(),
-            "version": __version__,
-            "seed": seed,
-        },
-        {},
-    )
+    """The report of one command: its handler's ``inputs`` and ``results`` as
+    the handler built them, with the claims ledger, the version and ``seed``.
+    Nothing is copied; each format writes the values as they are."""
+    return {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "discrepancies": claims_as_dicts(),
+        "version": __version__,
+        "seed": seed,
+    }
 
 
-def _flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
+def _flatten(value: Any, prefix: str, out: list[tuple[str, Any]]) -> list[tuple[str, Any]]:
+    """``out`` with a (key, value) pair appended for each scalar in ``value``."""
     if isinstance(value, dict):
-        items: list[tuple[str, Any]] = []
         for key in sorted(value):
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            items.extend(_flatten(value[key], sub))
-        return items
-    if isinstance(value, list):
-        items = []
+            _flatten(value[key], f"{prefix}.{key}" if prefix else str(key), out)
+    elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            items.extend(_flatten(v, f"{prefix}[{i}]"))
-        return items
-    return [(prefix, value)]
+            _flatten(v, f"{prefix}[{i}]", out)
+    else:
+        out.append((prefix, value))
+    return out
 
 
 def _has_line_break(text: str) -> bool:
@@ -135,9 +114,10 @@ def _json_string(text: str) -> str:
 def _json_chunks(
     value: Any, depth: int, out: list[str], seen: dict[tuple[int, int], Any], quote: Callable[[str], str]
 ) -> None:
-    """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False)`` writes for ``value`` ``depth`` levels in, for str keys,
-    each string and key quoted by ``quote``.
+    """Append to ``out`` the text ``json.dumps(value, indent=2, sort_keys=True)``
+    writes for ``value`` ``depth`` levels in, for str keys, each string and
+    key quoted by ``quote``; a tuple is an array, and a non-finite float is
+    the string of its repr ("inf", "-inf" or "nan"), not JSON's Infinity or NaN.
 
     ``seen`` maps each (container, depth) rendered so far to its span of
     ``out``; a container met again is joined once from that span, kept as
@@ -178,10 +158,8 @@ def _json_chunks(
         out.append(int.__repr__(value))
     elif not isinstance(value, float):
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    elif not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     else:
-        out.append(float.__repr__(value))
+        out.append(float.__repr__(value) if math.isfinite(value) else f'"{float.__repr__(value)}"')
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -193,7 +171,7 @@ def render_report(report: dict, fmt: str) -> str:
         return "".join(out)
     if fmt == "csv":
         lines = ["key,value"]
-        for key, value in _flatten(report):
+        for key, value in _flatten(report, "", []):
             text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
             if "," in text or '"' in text or _has_line_break(text):
                 text = '"' + text.replace('"', '""') + '"'
@@ -203,7 +181,7 @@ def render_report(report: dict, fmt: str) -> str:
         # One line per key: a value that spans lines is written as its JSON literal.
         return "\n".join(
             f"{key}: {_json_string(value) if isinstance(value, str) and _has_line_break(value) else value}"
-            for key, value in _flatten(report)
+            for key, value in _flatten(report, "", [])
         ) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -60,6 +60,11 @@ def _object(
 def _as_str(value: Any, field: str) -> str:
     if not isinstance(value, str):
         raise ScenarioError(f"{field.rsplit('.', 1)[-1]} must be a string", field)
+    try:
+        # A JSON string may hold a lone surrogate ("\ud800"), which no report can print.
+        value.encode()
+    except UnicodeEncodeError as exc:
+        raise ScenarioError(f"not UTF-8 text ({exc.reason} at character {exc.start})", field) from None
     return value
 
 
@@ -92,7 +97,8 @@ def load_scenario(document: str | dict) -> Scenario:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        # ValueError holds JSONDecodeError and int's digit limit on a long literal.
+        except ValueError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
         except RecursionError:
             raise ScenarioError("not valid JSON: nested too deeply") from None

@@ -152,7 +152,7 @@ def simulate(
     A setting combination that draws no pair (likely only for small
     ``n_pairs``) has no correlation estimate: its ``e_hat`` entry is nan,
     so ``s_hat`` and ``stderr_s`` are nan too.  This is a result, not an
-    error; the CLI prints the values as ``"nan"`` and exits 0.
+    error; the CLI prints them as nan (``"nan"`` in JSON) and exits 0.
     """
     _check_pairs(n_pairs)
     if trace_limit < 0:

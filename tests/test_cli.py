@@ -626,6 +626,27 @@ def test_empty_setting_cell_reports_nan_and_exits_0():
     assert results["stderr_s"] == "nan"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_empty_setting_cell_prints_bare_nan_in_csv_and_text(fmt):
+    proc = run_cli("simulate", "gisin1999", "-n", "4", "--seed", "0", "--format", fmt, check=True)
+    sep = "," if fmt == "csv" else ": "
+    values = dict(line.split(sep, 1) for line in proc.stdout.splitlines())
+    keys = ("results.e_hat[0]", "results.e_hat[2]", "results.s_hat", "results.stderr_s")
+    assert [values[key] for key in keys] == ["nan"] * 4
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", ["validate", "bound"])
+def test_lone_surrogate_in_document_exits_2_in_every_format(tmp_path, command, fmt):
+    # The escape "\ud800" is valid JSON; the string it makes has no UTF-8 form.
+    text = scenario_to_json(preset("gisin1999")).replace('"name": "gisin1999"', '"name": "g\\ud800"', 1)
+    path = tmp_path / "surrogate.json"
+    path.write_text(text)
+    proc = run_cli(command, str(path), "--format", fmt)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: name: not UTF-8 text (surrogates not allowed at character 1)\n")
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_workers_below_one_exits_2(tmp_path, command, workers):

@@ -1,5 +1,6 @@
 """The JSON report renderer prints what ``json.dumps(indent=2, sort_keys=True)``
-prints, and a traced report holds one row per cell of the run's table."""
+prints for the tree with each non-finite float made the string of its repr,
+and a traced report holds one row per cell of the run's table."""
 
 import contextlib
 import io
@@ -18,8 +19,22 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 _PINNED_REPORTS = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
 
 
+def _json_safe(value):
+    """``value`` as the report renderer writes it, in a form json.dumps takes:
+    tuples as lists, and inf, -inf and nan as the strings of their reprs."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "nan"
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def _dumps(tree):
-    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(_json_safe(tree), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 _SCALARS = (
@@ -27,7 +42,7 @@ _SCALARS = (
     | st.booleans()
     | st.integers(min_value=-(2**200), max_value=2**200)
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**53 + 1])
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**53 + 1, math.inf, -math.inf, math.nan])
     # The default alphabet holds control characters and non-ASCII text.
     | st.text(max_size=8)
 )
@@ -55,15 +70,11 @@ def test_json_render_is_json_dumps(tree):
     assert cli.render_report(tree, "json") == _dumps(tree)
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [{"x": math.nan}, {"x": [math.inf]}, [{"y": -math.inf}], {"x": object()}],
-    ids=["nan", "inf", "-inf", "object"],
-)
+@pytest.mark.parametrize("tree", [{"x": object()}], ids=["object"])
 def test_json_render_fails_as_json_dumps_does(tree):
-    with pytest.raises((ValueError, TypeError)) as expected:
+    with pytest.raises(TypeError) as expected:
         _dumps(tree)
-    with pytest.raises(expected.type) as raised:
+    with pytest.raises(TypeError) as raised:
         cli.render_report(tree, "json")
     assert str(raised.value) == str(expected.value)
 
@@ -129,7 +140,8 @@ def test_trace_rows_are_one_dict_per_cell():
     assert len(results["trace"]) == 10_000
     assert len({id(row) for row in results["trace"]}) <= 16
     report = cli.make_report("simulate", {}, results)
-    assert report["results"]["trace"] == json.loads(json.dumps(results["trace"]))
+    rendered = json.loads(cli.render_report(report, "json"))
+    assert rendered["results"]["trace"] == json.loads(json.dumps(results["trace"]))
     assert len({id(row) for row in report["results"]["trace"]}) <= 16
 
 

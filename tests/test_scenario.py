@@ -231,6 +231,30 @@ def test_not_json_rejected():
         load_scenario("{not json")
 
 
+def test_json_beyond_the_integer_digit_limit_rejected():
+    # Python 3.11+ caps int() at 4300 digits by default; a Python without the
+    # cap reads the literal and rejects it as out of float range.
+    text = json.dumps(_valid_doc()).replace('"tau_s": 5e-12', '"tau_s": 1' + "0" * 5000, 1)
+    with pytest.raises(ScenarioError, match="not valid JSON: |number is out of float range"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [(("name",), "name"), (("source", "name"), "source.name"),
+     (("arms", 1, "detector", "name"), "arms[1].detector.name"), (("frame_note",), "frame_note")],
+)
+def test_string_that_is_not_utf8_rejected_with_field(path, field):
+    # "\ud800" is a valid JSON string escape, but a lone surrogate encodes to no UTF-8.
+    doc = _valid_doc()
+    _set(path, "g\ud800")(doc)
+    for document in (doc, json.dumps(doc)):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(document)
+        assert (str(err.value), err.value.field) == (
+            f"{field}: not UTF-8 text (surrogates not allowed at character 1)", field)
+
+
 def test_scenarios_are_immutable():
     s = preset("gisin1999")
     with pytest.raises(Exception):

@@ -43,9 +43,10 @@ from pathlib import Path
 from bench_pairs import archive_change, archive_parent, summary, unpack
 
 # The five commands of the benchmark's cli_quick workload, then a 1e7-pair
-# run, a 40-point sweep and a traced run. The sweep writes to /dev/null:
-# rewriting a file that was rewritten moments before can wait tens of ms on
-# the disk's writeback, which would swamp start-up costs.
+# run, a 40-point sweep and a traced run, all rendered as JSON; then one csv
+# report (with nan results) and one text report. The sweep writes to
+# /dev/null: rewriting a file that was rewritten moments before can wait tens
+# of ms on the disk's writeback, which would swamp start-up costs.
 DEFAULT_ARGVS = (
     "bound earth_moon_case3",
     "presets",
@@ -55,6 +56,8 @@ DEFAULT_ARGVS = (
     "simulate earth_moon_case3 -n 10000000",
     "sweep earth_moon_case3 --v-min 1e9 --v-max 1e13 --points 40 -n 100000 --out /dev/null",
     "simulate earth_moon_case3 -n 100000 --trace 1000",
+    "simulate gisin1999 -n 4 --seed 0 --format csv",
+    "scales --format text",
 )
 
 
